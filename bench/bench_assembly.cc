@@ -1,23 +1,19 @@
-// bench_assembly — microbenchmark of the compiled stamp pipeline against
-// the legacy virtual-dispatch MnaSystem on an array-scale netlist (above
-// the dense->sparse crossover, i.e. the configuration where assembly cost
-// used to rival the LU itself).
+// bench_assembly — microbenchmark of the compiled stamp pipeline (the
+// Newton solver's assembly engine) against the virtual-dispatch MnaSystem
+// oracle on an array-scale netlist (above the dense->sparse crossover,
+// i.e. the configuration where assembly cost used to rival the LU itself).
 //
-// Measures the assemble and solve phases separately for three engines —
-// legacy virtual dispatch, compiled scalar slot replay, and compiled with
-// SoA batched device kernels — over identical iterates, checks residual
-// parity between them (a wrong-answer speedup is worthless), and emits
-// one machine-readable PERF line:
+// Measures the assemble and solve phases separately for both over
+// identical iterates, checks residual parity between them (a wrong-answer
+// speedup is worthless), and emits one machine-readable PERF line:
 //
 //   PERF {"bench":"bench_assembly","unknowns":...,"reps":...,
 //         "legacy_assemble_s":...,"compiled_assemble_s":...,
-//         "batched_assemble_s":...,"assembly_speedup":...,
-//         "batched_speedup":...,"batched_vs_compiled":...,
-//         "legacy_solve_s":...,"compiled_solve_s":...,
-//         "stamps_per_sec":...}
+//         "assembly_speedup":...,"legacy_solve_s":...,
+//         "compiled_solve_s":...,"stamps_per_sec":...}
 //
-// scripts/check.sh runs this as its perf smoke and asserts
-// assembly_speedup >= 1.5 and batched_speedup >= 1.5 on an optimized
+// ("legacy" names the MnaSystem oracle.)  scripts/check.sh runs this as
+// its perf smoke and asserts assembly_speedup >= 1.5 on an optimized
 // build.
 #include <cstdio>
 #include <string>
@@ -66,7 +62,7 @@ int run() {
   const int unknowns = n.freeze();
   const int nodes = n.nodeCount();
   const bool sparse = unknowns > kDenseToSparseCrossover;
-  bench::banner("assembly: compiled stamp pipeline vs legacy dispatch (" +
+  bench::banner("assembly: compiled stamp pipeline vs MnaSystem dispatch (" +
                 std::to_string(unknowns) + " unknowns, " +
                 (sparse ? "sparse" : "dense") + " storage)");
 
@@ -88,10 +84,6 @@ int run() {
   const auto compiledAssemble = [&] {
     compiled.assemble(n, view, /*dc=*/false, kTime, kDt, kMethod, kGmin);
   };
-  const auto batchedAssemble = [&] {
-    compiled.assemble(n, view, /*dc=*/false, kTime, kDt, kMethod, kGmin,
-                      /*useBatchedKernels=*/true);
-  };
 
   // Parity sanity before timing: a fast wrong answer is not a result.
   legacyAssemble();
@@ -100,15 +92,6 @@ int run() {
     const auto u = static_cast<std::size_t>(i);
     if (legacy.residual()[u] != compiled.residual()[u]) {
       std::fprintf(stderr, "FAIL: residual parity broke at row %d\n", i);
-      return 1;
-    }
-  }
-  batchedAssemble();
-  for (int i = 0; i < unknowns; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    if (legacy.residual()[u] != compiled.residual()[u]) {
-      std::fprintf(stderr, "FAIL: batched residual parity broke at row %d\n",
-                   i);
       return 1;
     }
   }
@@ -125,10 +108,6 @@ int run() {
   for (int r = 0; r < kReps; ++r) compiledAssemble();
   const double compiledAssembleS = tCompiledAsm.seconds();
 
-  bench::WallTimer tBatchedAsm;
-  for (int r = 0; r < kReps; ++r) batchedAssemble();
-  const double batchedAssembleS = tBatchedAsm.seconds();
-
   bench::WallTimer tLegacySolve;
   for (int r = 0; r < kReps; ++r) legacy.solveForUpdate(dx);
   const double legacySolveS = tLegacySolve.seconds();
@@ -141,10 +120,6 @@ int run() {
 
   const double speedup =
       compiledAssembleS > 0.0 ? legacyAssembleS / compiledAssembleS : 0.0;
-  const double batchedSpeedup =
-      batchedAssembleS > 0.0 ? legacyAssembleS / batchedAssembleS : 0.0;
-  const double batchedVsCompiled =
-      batchedAssembleS > 0.0 ? compiledAssembleS / batchedAssembleS : 0.0;
   const auto mode = stampModeFor(/*dc=*/false, kMethod);
   const std::size_t stampsPerAssembly =
       n.stampPattern().jacobianCalls(mode).size();
@@ -154,27 +129,22 @@ int run() {
           : 0.0;
 
   std::printf("assemble: legacy %.1f us/iter, compiled %.1f us/iter "
-              "(%.2fx), batched %.1f us/iter (%.2fx)\n",
+              "(%.2fx)\n",
               legacyAssembleS / kReps * 1e6, compiledAssembleS / kReps * 1e6,
-              speedup, batchedAssembleS / kReps * 1e6, batchedSpeedup);
+              speedup);
   std::printf("solve:    legacy %.1f us/iter, compiled %.1f us/iter\n",
               legacySolveS / kReps * 1e6, compiledSolveS / kReps * 1e6);
   std::printf(
       "PERF {\"bench\":\"bench_assembly\",\"unknowns\":%d,\"reps\":%d,"
       "\"legacy_assemble_s\":%.4f,\"compiled_assemble_s\":%.4f,"
-      "\"batched_assemble_s\":%.4f,\"assembly_speedup\":%.2f,"
-      "\"batched_speedup\":%.2f,\"batched_vs_compiled\":%.2f,"
-      "\"legacy_solve_s\":%.4f,"
+      "\"assembly_speedup\":%.2f,\"legacy_solve_s\":%.4f,"
       "\"compiled_solve_s\":%.4f,\"stamps_per_sec\":%.3g}\n",
-      unknowns, kReps, legacyAssembleS, compiledAssembleS, batchedAssembleS,
-      speedup, batchedSpeedup, batchedVsCompiled, legacySolveS,
-      compiledSolveS, stampsPerSec);
+      unknowns, kReps, legacyAssembleS, compiledAssembleS, speedup,
+      legacySolveS, compiledSolveS, stampsPerSec);
 
   telemetry.report().addCount("unknowns", static_cast<std::uint64_t>(unknowns));
   telemetry.report().addCount("reps", static_cast<std::uint64_t>(kReps));
   telemetry.report().addNumber("assembly_speedup", speedup);
-  telemetry.report().addNumber("batched_speedup", batchedSpeedup);
-  telemetry.report().addNumber("batched_vs_compiled", batchedVsCompiled);
   telemetry.report().addNumber("stamps_per_sec", stampsPerSec);
   telemetry.finish();
   return 0;

@@ -634,8 +634,8 @@ void LinearSolver::solve(const CsrView& a, std::span<const double> b,
     sparseFactor_.solve(b, x);
     return;
   }
-  // A/B diagnostic path: factor from scratch every call, exactly like the
-  // legacy row-map assembly with structure reuse off.
+  // A/B diagnostic path: factor from scratch every call through the
+  // row-map SparseLu.
   SparseMatrix rowMap(a.n);
   for (std::size_t r = 0; r < a.n; ++r) {
     for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {

@@ -252,9 +252,10 @@ class SparseLuFactorizer {
 
 /// Facade unifying the direct solvers behind one interface: dense LU below
 /// the crossover, sparse LU above it, with or without symbolic-structure
-/// reuse.  One instance owns the reusable factorizers, so callers (legacy
-/// MnaSystem and the compiled Assembler alike) get structure caching and
-/// allocation-free refactorization without knowing which backend runs.
+/// reuse.  One instance owns the reusable factorizers, so callers (the
+/// compiled Assembler and the MnaSystem test oracle alike) get structure
+/// caching and allocation-free refactorization without knowing which
+/// backend runs.
 /// Every overload is bit-identical to calling the underlying factorizer
 /// directly.
 class LinearSolver {
@@ -264,7 +265,7 @@ class LinearSolver {
   std::size_t size() const { return n_; }
   bool sparse() const { return sparse_; }
 
-  /// Solve A x = b for row-map assembly (legacy path).  With
+  /// Solve A x = b for row-map assembly (MnaSystem oracle).  With
   /// reuseStructure the cached-pattern factorizer runs; without it a
   /// fresh SparseLu factors from scratch (diagnostic A/B path).
   void solve(const SparseMatrix& a, std::span<const double> b,

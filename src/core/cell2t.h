@@ -31,8 +31,8 @@ struct Cell2TConfig {
   /// Injected faults; the cell draws its fault class as cell (0, 0) of the
   /// fault map (all-zero rates = healthy cell).
   FaultSpec faults;
-  /// Solver options for the cell's simulator (e.g. flip useCompiledStamps
-  /// for legacy-vs-compiled parity runs).
+  /// Solver options for the cell's simulator (Newton tolerances, LU
+  /// structure reuse, hierarchical solve).
   spice::NewtonOptions newton;
 };
 

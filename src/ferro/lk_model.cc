@@ -26,16 +26,6 @@ double LandauKhalatnikov::dynamicField(double p, double dPdt) const {
   return staticField(p) + c_.rho * dPdt;
 }
 
-void LandauKhalatnikov::staticFieldBatch(std::size_t n,
-                                         const LandauKhalatnikov* const* models,
-                                         const double* p, double* field,
-                                         double* slope) {
-  for (std::size_t k = 0; k < n; ++k) {
-    field[k] = models[k]->staticField(p[k]);
-    slope[k] = models[k]->staticFieldSlope(p[k]);
-  }
-}
-
 double LandauKhalatnikov::energyDensity(double p) const {
   const double p2 = p * p;
   return p2 * (0.5 * c_.alpha +

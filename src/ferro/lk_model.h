@@ -16,7 +16,6 @@
 // the paper's 550 ps @ 0.68 V write-time anchor.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace fefet::ferro {
@@ -49,16 +48,6 @@ class LandauKhalatnikov {
 
   /// Full dynamic field including the viscous term.
   double dynamicField(double polarization, double dPdt) const;
-
-  /// Batch kernel of the static field and its slope for the SoA device
-  /// path (see spice/device_batch.h): field[k] =
-  /// models[k]->staticField(p[k]), slope[k] =
-  /// models[k]->staticFieldSlope(p[k]).  Defined in the model TU so the
-  /// polynomial kernels inline into one tight loop; each lane is
-  /// bit-identical to the scalar calls.
-  static void staticFieldBatch(std::size_t n,
-                               const LandauKhalatnikov* const* models,
-                               const double* p, double* field, double* slope);
 
   /// Landau free-energy density U(P) = a/2 P^2 + b/4 P^4 + c/6 P^6 [J/m^3];
   /// double-well with minima at ±P_r for ferroelectric coefficient sets.

@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "spice/device_batch.h"
 
 namespace fefet::spice {
 
@@ -18,15 +17,13 @@ struct AssemblerTelemetry {
   obs::Counter& assemblies;
   obs::Counter& stamps;
   obs::Counter& patternReuseHits;
-  obs::Counter& batchedAssemblies;
 };
 
 AssemblerTelemetry& assemblerTelemetry() {
   static AssemblerTelemetry t{
       obs::Metrics::counter("fefet.assembler.assemblies"),
       obs::Metrics::counter("fefet.assembler.stamps"),
-      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits"),
-      obs::Metrics::counter("fefet.assembler.batched_assemblies")};
+      obs::Metrics::counter("fefet.assembler.pattern_reuse_hits")};
   return t;
 }
 
@@ -75,8 +72,7 @@ Assembler::Assembler(const StampPattern& pattern, bool useSparse)
 
 void Assembler::assemble(const Netlist& netlist, const SystemView& view,
                          bool dc, double time, double dt,
-                         IntegrationMethod method, double gmin,
-                         bool useBatchedKernels) {
+                         IntegrationMethod method, double gmin, bool) {
   const auto& devices = netlist.devices();
   FEFET_REQUIRE(devices.size() == pattern_.deviceCount(),
                 "compiled stamp pipeline: netlist device list changed after "
@@ -97,21 +93,17 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
   buffer_.slotEnd_ = slots.data() + slots.size();
 
   EvalContext ctx{view, dc, time, dt, method, gmin, &buffer_, nullptr};
-  if (useBatchedKernels) {
-    netlist.deviceBatches().stampAll(ctx, ends);
-  } else {
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-      devices[i]->stamp(ctx);
-      if (buffer_.jacobianCalls() != ends[i]) {
-        std::ostringstream os;
-        os << "compiled stamp pipeline: device '" << devices[i]->name()
-           << "' emitted "
-           << buffer_.jacobianCalls() - (i > 0 ? ends[i - 1] : 0)
-           << " Jacobian entries but the recorded pattern has "
-           << ends[i] - (i > 0 ? ends[i - 1] : 0)
-           << " — stamp sequences must be a fixed function of (dc, method)";
-        throw NumericalError(os.str());
-      }
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    devices[i]->stamp(ctx);
+    if (buffer_.jacobianCalls() != ends[i]) {
+      std::ostringstream os;
+      os << "compiled stamp pipeline: device '" << devices[i]->name()
+         << "' emitted "
+         << buffer_.jacobianCalls() - (i > 0 ? ends[i - 1] : 0)
+         << " Jacobian entries but the recorded pattern has "
+         << ends[i] - (i > 0 ? ends[i - 1] : 0)
+         << " — stamp sequences must be a fixed function of (dc, method)";
+      throw NumericalError(os.str());
     }
   }
 
@@ -120,11 +112,10 @@ void Assembler::assemble(const Netlist& netlist, const SystemView& view,
     t.assemblies.increment();
     t.stamps.add(devices.size());
     if (modeUsed_[static_cast<std::size_t>(m)]) t.patternReuseHits.increment();
-    if (useBatchedKernels) t.batchedAssemblies.increment();
   }
   modeUsed_[static_cast<std::size_t>(m)] = true;
 
-  // gmin regularization, same ordering as the legacy path: after the
+  // gmin regularization, same ordering as MnaSystem::addGmin: after the
   // device loop, residual through the same accumulation (so the row scale
   // sees the gmin current), diagonal through the precompiled slots.
   if (gmin > 0.0) {
@@ -148,7 +139,7 @@ void Assembler::solveForUpdate(std::vector<double>& dx,
     return;
   }
   // Dense: scatter the CSR accumulation into the row-major scratch.  The
-  // values were accumulated in the same order as the legacy direct dense
+  // values were accumulated in the same order as MnaSystem's direct dense
   // stamping, so the matrix is bit-identical to the oracle's.
   std::fill(dense_.begin(), dense_.end(), 0.0);
   const auto& rowPtr = pattern_.rowPtr();

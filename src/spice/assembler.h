@@ -37,12 +37,12 @@ class Assembler {
   /// Assemble one Newton evaluation: zero the storage, stamp every device
   /// through the slot program of (dc, method) and apply gmin.  Throws
   /// NumericalError naming the culprit device if a call sequence deviates
-  /// from the recorded pattern.  With useBatchedKernels the device loop is
-  /// replaced by the SoA batch path (netlist.deviceBatches().stampAll) —
-  /// bit-identical scatter order, type-major evaluation.
+  /// from the recorded pattern.  The trailing bool is ignored; it is kept
+  /// only so perfbench/layers.cc still builds, and no other caller may
+  /// pass it.
   void assemble(const Netlist& netlist, const SystemView& view, bool dc,
                 double time, double dt, IntegrationMethod method,
-                double gmin, bool useBatchedKernels = false);
+                double gmin, bool /*unused*/ = false);
 
   /// Solve J dx = -F into dx (resized to the system size).  Throws
   /// NumericalError when the Jacobian is singular.

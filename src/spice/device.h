@@ -80,8 +80,9 @@ class Stamper {
 /// sinks receives the entries:
 ///  * compiled path (buffer != nullptr): inlined slot writes into the
 ///    preallocated StampBuffer — no virtual dispatch per entry;
-///  * legacy path (stamper != nullptr): virtual Stamper calls — the parity
-///    oracle, and the recording pass that builds the StampPattern.
+///  * stamper path (stamper != nullptr): virtual Stamper calls — the
+///    recording pass that builds the StampPattern at freeze(), and the
+///    MnaSystem matrix-level oracle of the stamp-parity tests.
 struct EvalContext {
   const SystemView& view;
   bool dc = false;                ///< DC operating point: d/dt == 0

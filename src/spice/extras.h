@@ -30,8 +30,6 @@ class Diode final : public Device {
   double currentAt(double v) const;
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   NodeId anode_, cathode_;
   Params params_;
 };

@@ -49,8 +49,6 @@ class FeCapDevice final : public Device {
   int auxRow() const { return auxRow_; }
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   /// dP/dt and its dP-derivative factor for the current companion form.
   std::pair<double, double> rateFor(double p, const EvalContext& ctx) const;
 

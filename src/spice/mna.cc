@@ -26,14 +26,10 @@ void MnaSystem::clear() {
   std::fill(residual_.begin(), residual_.end(), 0.0);
   std::fill(rowScale_.begin(), rowScale_.end(), 0.0);
   if (useSparse_) {
-    if (reuseLuStructure_) {
-      // Keep the map nodes so re-stamping the same circuit reuses them and
-      // the factorizer sees a stable pattern; stale positions hold an
-      // explicit 0.0, which is numerically inert in the LU.
-      sparseM_.setZeroKeepStructure();
-    } else {
-      sparseM_.setZero();
-    }
+    // Keep the map nodes so re-stamping the same circuit reuses them and
+    // the factorizer sees a stable pattern; stale positions hold an
+    // explicit 0.0, which is numerically inert in the LU.
+    sparseM_.setZeroKeepStructure();
   } else {
     dense_.setZero();
   }
@@ -70,16 +66,10 @@ void MnaSystem::addGmin(double gmin, const SystemView& view, int nodeCount) {
   }
 }
 
-std::vector<double> MnaSystem::solveForUpdate() {
-  std::vector<double> dx;
-  solveForUpdate(dx);
-  return dx;
-}
-
 void MnaSystem::solveForUpdate(std::vector<double>& dx) {
   for (std::size_t i = 0; i < rhs_.size(); ++i) rhs_[i] = -residual_[i];
   if (useSparse_) {
-    solver_.solve(sparseM_, rhs_, dx, reuseLuStructure_);
+    solver_.solve(sparseM_, rhs_, dx, /*reuseStructure=*/true);
     return;
   }
   solver_.solve(dense_, rhs_, dx);

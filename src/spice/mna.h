@@ -6,10 +6,10 @@
 // contributions|) so Newton can test convergence relative to the size of
 // the currents actually flowing in each node.
 //
-// This is the *legacy* assembly engine: the compiled stamp pipeline
-// (stamp_pattern.h + assembler.h) replaces it on the hot path, and this
-// class remains as the bit-identical parity oracle behind
-// NewtonOptions::useCompiledStamps = false (and for direct use in tests).
+// This is not on the Newton path: NewtonSolver assembles only through the
+// compiled stamp pipeline (stamp_pattern.h + assembler.h).  MnaSystem is
+// the matrix-level oracle that the stamp-parity tests and bench_assembly
+// compare the compiled Jacobian/residual against, entry for entry.
 #pragma once
 
 #include <vector>
@@ -34,21 +34,10 @@ class MnaSystem final : public Stamper {
   /// scale sees them like any other device current.
   void addGmin(double gmin, const SystemView& view, int nodeCount);
 
-  /// Solve J dx = -F.  Throws NumericalError if singular.
-  std::vector<double> solveForUpdate();
-  /// Allocation-light overload reusing the caller's dx buffer.
+  /// Solve J dx = -F into dx.  Throws NumericalError if singular.  The
+  /// sparse path reuses the cached LU structure across solves (the MNA
+  /// pattern of a frozen netlist is fixed).
   void solveForUpdate(std::vector<double>& dx);
-
-  /// Reuse the cached sparse symbolic structure (pattern + pivot order)
-  /// across solves.  The MNA pattern of a frozen netlist is fixed, so the
-  /// default is on; turning it off restores the fully independent
-  /// factor-from-scratch path (results are bit-identical either way).
-  void setLuStructureReuse(bool reuse) { reuseLuStructure_ = reuse; }
-  bool luStructureReuse() const { return reuseLuStructure_; }
-  /// Structure-cache diagnostics (zeros on the dense path).
-  const linalg::SparseLuFactorizer& sparseFactorizer() const {
-    return solver_.sparseFactorizer();
-  }
 
   const std::vector<double>& residual() const { return residual_; }
   const std::vector<double>& rowScale() const { return rowScale_; }
@@ -62,7 +51,6 @@ class MnaSystem final : public Stamper {
  private:
   int n_;
   bool useSparse_;
-  bool reuseLuStructure_ = true;
   linalg::DenseMatrix dense_;
   linalg::SparseMatrix sparseM_;
   linalg::LinearSolver solver_;

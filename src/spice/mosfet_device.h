@@ -28,8 +28,6 @@ class MosfetDevice final : public Device {
   double drainCurrent(const SystemView& view) const;
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   double channelCharge(const SystemView& view) const;
 
   NodeId drain_, gate_, source_;

@@ -1,6 +1,5 @@
 #include "spice/netlist.h"
 
-#include "spice/device_batch.h"
 #include "spice/partition.h"
 #include "spice/stamp_pattern.h"
 
@@ -64,7 +63,6 @@ int Netlist::freeze() {
       pattern_ = std::make_unique<StampPattern>(devices_, unknownCount(),
                                                 nodeCount());
     }
-    batches_ = std::make_unique<DeviceBatches>(*this);
     if (!borderNodeNames_.empty() && pattern_ != nullptr) {
       std::vector<int> seeds;
       seeds.reserve(borderNodeNames_.size());
@@ -88,12 +86,6 @@ void Netlist::markBorderNode(const std::string& name) {
 const BbdPartition* Netlist::partition() const {
   FEFET_REQUIRE(frozen_, "partition() requires a frozen netlist");
   return partition_.get();
-}
-
-DeviceBatches& Netlist::deviceBatches() const {
-  FEFET_REQUIRE(frozen_ && batches_ != nullptr,
-                "deviceBatches() requires a frozen netlist");
-  return *batches_;
 }
 
 const StampPattern& Netlist::stampPattern() const {

@@ -16,7 +16,6 @@ namespace fefet::spice {
 /// devices are owned by the netlist.  After freeze() the unknown layout
 /// (node rows followed by auxiliary rows) is fixed.
 class StampPattern;
-class DeviceBatches;
 class BbdPartition;
 
 class Netlist {
@@ -85,11 +84,6 @@ class Netlist {
   /// pipeline's pattern (see stamp_pattern.h).  Requires frozen().
   const StampPattern& stampPattern() const;
 
-  /// Structure-of-arrays device batches built at freeze() (see
-  /// device_batch.h).  Mutable — stampAll writes into its preallocated
-  /// scratch.  Requires frozen().
-  DeviceBatches& deviceBatches() const;
-
   /// Mark a node as a border unknown of the bordered-block-diagonal
   /// partition built at freeze() (see partition.h).  For a memory array
   /// the shared bit/source lines are marked; the hierarchical solver then
@@ -111,7 +105,6 @@ class Netlist {
   std::vector<std::string> auxLabels_;
   std::vector<std::string> borderNodeNames_;
   std::unique_ptr<StampPattern> pattern_;
-  std::unique_ptr<DeviceBatches> batches_;
   std::unique_ptr<BbdPartition> partition_;
   bool frozen_ = false;
 };

@@ -5,13 +5,11 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "spice/assembler.h"
-#include "spice/mna.h"
 #include "spice/netlist.h"
 
 namespace fefet::spice {
@@ -24,18 +22,9 @@ namespace fefet::spice {
 /// around where array netlists overtake cell netlists.
 inline constexpr int kDenseToSparseCrossover = 160;
 
-/// Session default for NewtonOptions::useCompiledStamps: true unless the
-/// environment sets FEFET_COMPILED_STAMPS=0 (A/B runs of entire sweeps
-/// without recompiling or threading an option through every harness).
-bool defaultUseCompiledStamps();
-
-/// Session default for NewtonOptions::useBatchedKernels: true unless the
-/// environment sets FEFET_BATCHED_KERNELS=0.
-bool defaultUseBatchedKernels();
-
 /// Session default for NewtonOptions::useHierarchicalSolve: false unless
 /// the environment sets FEFET_HIERARCHICAL_SOLVE=1 (opt-in — the flat
-/// engines remain the oracle, see partition.h / hier_engine.h).
+/// solve remains the oracle, see partition.h / hier_engine.h).
 bool defaultUseHierarchicalSolve();
 
 class HierEngine;
@@ -55,25 +44,16 @@ struct NewtonOptions {
   /// Bit-identical to the uncached path (pivoting is re-verified every
   /// solve); off exists for A/B testing and diagnostics.
   bool reuseLuStructure = true;
-  /// Assemble through the compiled stamp pipeline (pattern-once CSR with
-  /// slot-based device stamping, see assembler.h) instead of per-entry
-  /// virtual dispatch into MnaSystem.  The two engines produce bit-
-  /// identical waveforms; the legacy path remains as the parity oracle.
-  bool useCompiledStamps = defaultUseCompiledStamps();
-  /// Evaluate homogeneous devices through the structure-of-arrays batch
-  /// kernels (see device_batch.h) instead of per-device virtual stamp()
-  /// dispatch.  Only effective with useCompiledStamps (the batched path
-  /// scatters through the compiled slot programs).  Bit-identical to the
-  /// scalar path: evaluation is type-major but the scatter into the shared
-  /// slots/rows happens in original netlist order.
-  bool useBatchedKernels = defaultUseBatchedKernels();
+  /// Ignored: kept only so perfbench/layers.cc, which passes it to
+  /// Assembler::assemble, still builds.  Nothing else may set or read it.
+  bool useBatchedKernels = true;
   /// Solve the Newton update through the bordered-block-diagonal Schur
-  /// engine (hier_engine.h) instead of the flat LU.  Effective only with
-  /// useCompiledStamps and a netlist whose freeze() built a useful BBD
-  /// partition (border nodes marked, >= 2 blocks); silently falls back to
-  /// the flat solve otherwise.  Collapsing makes updates inexact-Newton
-  /// steps with exact residuals — converged solutions agree with the flat
-  /// engine within the Newton tolerances (see DESIGN.md §6.7).
+  /// engine (hier_engine.h) instead of the flat LU.  Effective only for a
+  /// netlist whose freeze() built a useful BBD partition (border nodes
+  /// marked, >= 2 blocks); silently falls back to the flat solve
+  /// otherwise.  Collapsing makes updates inexact-Newton steps with exact
+  /// residuals — converged solutions agree with the flat engine within
+  /// the Newton tolerances (see DESIGN.md §6.7).
   bool useHierarchicalSolve = defaultUseHierarchicalSolve();
   /// Macromodel collapsing of quiet blocks (hold-bias fast path); the
   /// tolerances mirror linalg::SchurOptions.
@@ -124,19 +104,14 @@ class NewtonSolver {
   /// the continuation fails.
   NewtonStats solveDcWithContinuation(std::vector<double>& x);
 
-  /// True when the compiled stamp pipeline assembles (vs the legacy
-  /// virtual-dispatch oracle).
-  bool usesCompiledStamps() const { return assembler_.has_value(); }
-
   /// The hierarchical solve engine, or nullptr when the flat LU is in use
-  /// (option off, legacy engine, or no useful partition).
+  /// (option off or no useful partition).
   const HierEngine* hier() const { return hier_.get(); }
 
-  /// Sparse-LU structure-cache diagnostics of whichever assembly engine
-  /// is active (zeros on the dense path).
+  /// Sparse-LU structure-cache diagnostics of the flat solve (zeros on
+  /// the dense path).
   const linalg::SparseLuFactorizer& sparseFactorizer() const {
-    return assembler_ ? assembler_->solver().sparseFactorizer()
-                      : system_->sparseFactorizer();
+    return assembler_.solver().sparseFactorizer();
   }
 
   /// Wall-clock budget observed by the iteration loop: every iteration
@@ -151,9 +126,7 @@ class NewtonSolver {
 
   Netlist& netlist_;
   NewtonOptions options_;
-  // Exactly one assembly engine is engaged, per options_.useCompiledStamps.
-  std::optional<MnaSystem> system_;      ///< legacy parity oracle
-  std::optional<Assembler> assembler_;   ///< compiled stamp pipeline
+  Assembler assembler_;                  ///< compiled stamp pipeline
   std::unique_ptr<HierEngine> hier_;     ///< BBD/Schur solve (optional)
   // Reused across iterations/escalation levels: the Newton update and the
   // trial vector of escalation/continuation attempts (no per-iteration

@@ -17,8 +17,6 @@ class Resistor final : public Device {
   double current(const SystemView& view) const;
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   NodeId a_, b_;
   double resistance_;
 };
@@ -38,8 +36,6 @@ class Capacitor final : public Device {
   double capacitance() const { return capacitance_; }
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   NodeId a_, b_;
   double capacitance_;
   ChargeIntegrator charge_;

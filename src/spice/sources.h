@@ -58,8 +58,6 @@ class VoltageSource final : public Device {
   int auxRow() const { return auxRow_; }
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   NodeId plus_, minus_;
   Shape shape_;
   int auxRow_ = -1;
@@ -78,8 +76,6 @@ class CurrentSource final : public Device {
   void setShape(Shape shape) { shape_ = std::move(shape); }
 
  private:
-  friend class DeviceBatches;  // SoA batching (device_batch.h)
-
   NodeId from_, to_;
   Shape shape_;
 };

@@ -116,26 +116,6 @@ double MosfetModel::idsAt(double vd, double vg, double vs) const {
   return evaluate(vd, vg, vs).ids;
 }
 
-void MosfetModel::evaluateBatch(std::size_t n, const MosfetModel* const* models,
-                                const double* vd, const double* vg,
-                                const double* vs, MosOperatingPoint* out) {
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = models[k]->evaluate(vd[k], vg[k], vs[k]);
-  }
-}
-
-void MosfetModel::gateChargeBatch(std::size_t n,
-                                  const MosfetModel* const* models,
-                                  const double* vgs, double* chargeDensity,
-                                  double* capacitanceDensity) {
-  for (std::size_t k = 0; k < n; ++k) {
-    // Read the lane input first: chargeDensity may alias vgs.
-    const double v = vgs[k];
-    chargeDensity[k] = models[k]->gateChargeDensity(v);
-    capacitanceDensity[k] = models[k]->gateCapacitanceDensity(v);
-  }
-}
-
 double MosfetModel::branchCharge(double overdrive) const {
   if (overdrive <= 0.0) return 0.0;
   const double c = 1.0 / params_.cox;

@@ -22,7 +22,6 @@
 // 1.9 nm, a ~0.5 V nonvolatile window at 2.25 nm, and ~10^6 on/off ratio.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace fefet::xtor {
@@ -75,23 +74,6 @@ class MosfetModel {
 
   /// Convenience: just the current.
   double idsAt(double vd, double vg, double vs) const;
-
-  /// Batch kernel of evaluate() for the SoA device path (see
-  /// spice/device_batch.h): out[k] = models[k]->evaluate(vd[k], vg[k],
-  /// vs[k]).  Defined in the model TU so the scalar kernel inlines into a
-  /// tight non-virtual loop; each lane is bit-identical to the scalar
-  /// call.
-  static void evaluateBatch(std::size_t n, const MosfetModel* const* models,
-                            const double* vd, const double* vg,
-                            const double* vs, MosOperatingPoint* out);
-
-  /// Batch kernel of the gate charge model: chargeDensity[k] =
-  /// gateChargeDensity(vgs[k]), capacitanceDensity[k] =
-  /// gateCapacitanceDensity(vgs[k]).  `chargeDensity` may alias `vgs`
-  /// (each lane reads its input before writing).
-  static void gateChargeBatch(std::size_t n, const MosfetModel* const* models,
-                              const double* vgs, double* chargeDensity,
-                              double* capacitanceDensity);
 
   // --- Gate charge model (areal, NMOS convention) ---------------------
 

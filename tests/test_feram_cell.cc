@@ -2,6 +2,7 @@
 // destructive read with write-back, and the 550 ps / 1.64 V anchor.
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "core/feram_cell.h"
 #include "core/materials.h"
@@ -134,6 +135,11 @@ struct Case {
   bool one;
   double voltage;
 };
+// gtest names each case after this printout; without it gtest dumps the
+// struct's uninitialised padding bytes and the names vary from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << (c.one ? "one" : "zero") << " at " << c.voltage << " V";
+}
 class ReadAfterWrite : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ReadAfterWrite, SensedValueMatchesWritten) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <vector>
@@ -299,22 +300,24 @@ TEST(SchurSolver, ParallelBlockFactorizationMatchesSerial) {
   parallel.setParallelFor([&pool](int count,
                                   const std::function<void(int)>& fn) {
     const int workers = std::min(4, count);
-    std::atomic<int> next{0};
-    std::atomic<int> done{0};
-    std::mutex mutex;
-    std::condition_variable cv;
+    // Shared, not on this frame: the submitter may wake and return while
+    // a worker is still past its done increment.
+    auto next = std::make_shared<std::atomic<int>>(0);
+    auto done = std::make_shared<std::atomic<int>>(0);
+    auto mutex = std::make_shared<std::mutex>();
+    auto cv = std::make_shared<std::condition_variable>();
     for (int w = 0; w < workers; ++w) {
-      pool.submit([&] {
+      pool.submit([next, done, mutex, cv, workers, count, &fn] {
         int i = 0;
-        while ((i = next.fetch_add(1)) < count) fn(i);
-        if (done.fetch_add(1) + 1 == workers) {
-          const std::lock_guard<std::mutex> lock(mutex);
-          cv.notify_all();
+        while ((i = next->fetch_add(1)) < count) fn(i);
+        if (done->fetch_add(1) + 1 == workers) {
+          const std::lock_guard<std::mutex> lock(*mutex);
+          cv->notify_all();
         }
       });
     }
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return done.load() == workers; });
+    std::unique_lock<std::mutex> lock(*mutex);
+    cv->wait(lock, [&] { return done->load() == workers; });
   });
 
   std::mt19937 rng(5);

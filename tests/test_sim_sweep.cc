@@ -12,7 +12,6 @@
 #include <mutex>
 #include <numeric>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -472,155 +471,6 @@ TEST(SweepEngineResilience, PlainRunRejectsAJournalPath) {
   EXPECT_THROW(
       engine.run(points, [](int p, const sim::SweepContext&) { return p; }),
       Error);
-}
-
-// ---------------------------------------------------------------------------
-// runBatched: contiguous point batches through one batch function call
-// (multi-RHS style amortization), same ordering/seeding contract as run().
-
-TEST(SweepBatched, ReturnsResultsInInputOrderAcrossBatchSizes) {
-  std::vector<int> points(53);  // deliberately not a multiple of any batch
-  std::iota(points.begin(), points.end(), 0);
-  for (const std::size_t batchSize : {std::size_t{1}, std::size_t{4},
-                                      std::size_t{16}, std::size_t{64}}) {
-    SCOPED_TRACE("batchSize=" + std::to_string(batchSize));
-    sim::SweepOptions options;
-    options.threads = 4;
-    sim::SweepEngine engine(options);
-    const auto results = engine.runBatched(
-        points, batchSize,
-        [&](std::span<const int> batch,
-            std::span<const sim::SweepContext> contexts) {
-          EXPECT_EQ(batch.size(), contexts.size());
-          std::vector<int> out;
-          out.reserve(batch.size());
-          for (std::size_t k = 0; k < batch.size(); ++k) {
-            EXPECT_EQ(static_cast<std::size_t>(batch[k]), contexts[k].index);
-            out.push_back(batch[k] * batch[k]);
-          }
-          return out;
-        });
-    ASSERT_EQ(results.size(), points.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], static_cast<int>(i * i));
-    }
-    EXPECT_EQ(engine.summary().ok, points.size());
-  }
-}
-
-TEST(SweepBatched, SeedsAreInvariantUnderBatchSizeAndMatchRun) {
-  // The whole point of per-point seeding: batching is a pure execution
-  // optimization, so seeds — and anything derived from them — must match
-  // the unbatched sweep exactly for every batch size.
-  std::vector<int> points(40);
-  std::iota(points.begin(), points.end(), 0);
-  sim::SweepOptions options;
-  options.threads = 4;
-  options.baseSeed = 99;
-  const auto viaRun = [&] {
-    sim::SweepEngine engine(options);
-    return engine.run(points, [](int, const sim::SweepContext& ctx) {
-      stats::Rng rng(ctx.seed);
-      return rng.uniform(0.0, 1.0);
-    });
-  }();
-  for (const std::size_t batchSize : {std::size_t{3}, std::size_t{8}}) {
-    sim::SweepEngine engine(options);
-    const auto viaBatched = engine.runBatched(
-        points, batchSize,
-        [](std::span<const int> batch,
-           std::span<const sim::SweepContext> contexts) {
-          std::vector<double> out;
-          out.reserve(batch.size());
-          for (const auto& ctx : contexts) {
-            stats::Rng rng(ctx.seed);
-            out.push_back(rng.uniform(0.0, 1.0));
-          }
-          return out;
-        });
-    EXPECT_EQ(viaBatched, viaRun) << "batchSize=" << batchSize;
-  }
-}
-
-TEST(SweepBatched, ThrowingBatchMarksEveryPointOfThatBatchFailed) {
-  sim::SweepOptions options;
-  options.threads = 1;  // deterministic batch order
-  options.failurePolicy = sim::SweepFailurePolicy::kCollectAndContinue;
-  sim::SweepEngine engine(options);
-  std::vector<int> points(12);
-  std::iota(points.begin(), points.end(), 0);
-  const auto results = engine.runBatched(
-      points, 4,
-      [](std::span<const int> batch,
-         std::span<const sim::SweepContext>) -> std::vector<int> {
-        if (batch.front() == 4) throw SimulationError("batch boom");
-        std::vector<int> out(batch.begin(), batch.end());
-        return out;
-      });
-  ASSERT_EQ(results.size(), 12u);
-  const auto& outcomes = engine.outcomes();
-  for (std::size_t i = 0; i < 12; ++i) {
-    if (i >= 4 && i < 8) {
-      EXPECT_EQ(outcomes[i].status, sim::SweepPointStatus::kFailed) << i;
-      EXPECT_EQ(results[i], 0) << i;  // default-constructed
-    } else {
-      EXPECT_EQ(outcomes[i].status, sim::SweepPointStatus::kOk) << i;
-      EXPECT_EQ(results[i], static_cast<int>(i)) << i;
-    }
-  }
-  EXPECT_EQ(engine.summary().failed, 4u);
-  EXPECT_EQ(engine.summary().ok, 8u);
-}
-
-TEST(SweepBatched, WrongResultCountIsDiagnosedAsBatchFailure) {
-  sim::SweepOptions options;
-  options.threads = 1;
-  options.failurePolicy = sim::SweepFailurePolicy::kCollectAndContinue;
-  sim::SweepEngine engine(options);
-  std::vector<int> points(6);
-  std::iota(points.begin(), points.end(), 0);
-  engine.runBatched(points, 3,
-                    [](std::span<const int> batch,
-                       std::span<const sim::SweepContext>) {
-                      std::vector<int> out(batch.begin(), batch.end());
-                      if (batch.front() == 3) out.pop_back();  // short batch
-                      return out;
-                    });
-  const auto& outcomes = engine.outcomes();
-  EXPECT_EQ(outcomes[0].status, sim::SweepPointStatus::kOk);
-  EXPECT_EQ(outcomes[3].status, sim::SweepPointStatus::kFailed);
-  EXPECT_NE(outcomes[3].message.find("2 results for 3 points"),
-            std::string::npos)
-      << outcomes[3].message;
-}
-
-TEST(SweepBatched, RejectsJournalingAndZeroBatchSize) {
-  std::vector<int> points = {1, 2, 3};
-  const auto fn = [](std::span<const int> batch,
-                     std::span<const sim::SweepContext>) {
-    return std::vector<int>(batch.begin(), batch.end());
-  };
-  {
-    sim::SweepOptions options;
-    options.journal.path = "/tmp/ignored.jsonl";
-    sim::SweepEngine engine(options);
-    EXPECT_THROW(engine.runBatched(points, 2, fn), Error);
-  }
-  {
-    sim::SweepEngine engine;
-    EXPECT_THROW(engine.runBatched(points, 0, fn), Error);
-  }
-}
-
-TEST(SweepBatched, EmptyPointSetReturnsEmptyResults) {
-  sim::SweepEngine engine;
-  const std::vector<int> points;
-  const auto results = engine.runBatched(
-      points, 8,
-      [](std::span<const int> batch, std::span<const sim::SweepContext>) {
-        return std::vector<int>(batch.begin(), batch.end());
-      });
-  EXPECT_TRUE(results.empty());
 }
 
 }  // namespace

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "common/deadline.h"
+#include "obs/metrics.h"
 #include "spice/extras.h"
 #include "spice/mna.h"
 #include "spice/mosfet_device.h"
 #include "spice/netlist.h"
+#include "spice/newton.h"
 #include "spice/passives.h"
 #include "spice/simulator.h"
 #include "spice/sources.h"
@@ -336,6 +340,41 @@ TEST(Transient, DeadlineExceededCarriesTheRetryHistory) {
     EXPECT_GE(d.gminEscalations, 0);
     EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos);
   }
+}
+
+TEST(Newton, DeadlineExitCountsAsExactlyOneOutcome) {
+  // Every solve exit lands in exactly one outcome counter (DESIGN.md
+  // §6.8), so the outcome deltas sum to the solves delta — the exit on an
+  // already-expired deadline included.
+  const bool wasEnabled = obs::Metrics::enabled();
+  obs::Metrics::setEnabled(true);
+  obs::Counter& solves = obs::Metrics::counter("fefet.newton.solves");
+  obs::Counter* outcomes[] = {
+      &obs::Metrics::counter("fefet.newton.outcome.converged"),
+      &obs::Metrics::counter("fefet.newton.outcome.stagnated"),
+      &obs::Metrics::counter("fefet.newton.outcome.diverged")};
+  const auto outcomeTotal = [&] {
+    std::uint64_t sum = 0;
+    for (const obs::Counter* c : outcomes) sum += c->total();
+    return sum;
+  };
+
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("in"), n.ground(), dc(1.0));
+  n.add<Resistor>("R", n.node("in"), n.ground(), 1e3);
+  NewtonSolver solver(n, NewtonOptions{});
+  solver.setDeadline(Deadline::after(0.0));
+  std::vector<double> x(static_cast<std::size_t>(n.unknownCount()), 0.0);
+
+  const std::uint64_t solvesBefore = solves.total();
+  const std::uint64_t outcomesBefore = outcomeTotal();
+  EXPECT_THROW(solver.solve(x, /*dc=*/true, 0.0, 0.0,
+                            IntegrationMethod::kBackwardEuler),
+               DeadlineExceeded);
+  const std::uint64_t solvesDelta = solves.total() - solvesBefore;
+  EXPECT_EQ(solvesDelta, 1u);
+  EXPECT_EQ(outcomeTotal() - outcomesBefore, solvesDelta);
+  obs::Metrics::setEnabled(wasEnabled);
 }
 
 TEST(Transient, CallerDeadlineBoundsTheRun) {

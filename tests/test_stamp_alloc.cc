@@ -75,13 +75,10 @@ void buildLadder(Netlist& n, int stages) {
   }
 }
 
-long allocationsDuringSolves(int stages, bool batchedKernels = false) {
+long allocationsDuringSolves(int stages) {
   Netlist n;
   buildLadder(n, stages);
-  NewtonOptions options;
-  options.useCompiledStamps = true;
-  options.useBatchedKernels = batchedKernels;
-  NewtonSolver solver(n, options);
+  NewtonSolver solver(n, NewtonOptions{});
 
   std::vector<double> x(static_cast<std::size_t>(n.unknownCount()), 0.0);
   for (const auto& device : n.devices()) device->seedUnknowns(x);
@@ -110,19 +107,6 @@ TEST(StampAlloc, DensePathSteadyStateIsAllocationFree) {
 
 TEST(StampAlloc, SparsePathSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocationsDuringSolves(/*stages=*/200), 0);
-}
-
-// The SoA batch path gathers/evaluates into scratch vectors sized once at
-// freeze(); its steady state must be as allocation-free as the scalar
-// slot-program replay on both storage paths.
-TEST(StampAlloc, BatchedDensePathSteadyStateIsAllocationFree) {
-  EXPECT_EQ(allocationsDuringSolves(/*stages=*/40, /*batchedKernels=*/true),
-            0);
-}
-
-TEST(StampAlloc, BatchedSparsePathSteadyStateIsAllocationFree) {
-  EXPECT_EQ(allocationsDuringSolves(/*stages=*/200, /*batchedKernels=*/true),
-            0);
 }
 
 }  // namespace

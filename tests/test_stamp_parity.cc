@@ -1,23 +1,27 @@
 // Stamp-parity suite: the compiled stamp pipeline (StampPattern +
-// Assembler) must be bit-identical to the legacy virtual-dispatch
-// MnaSystem oracle.
+// Assembler), the only assembly engine of NewtonSolver, must be
+// bit-identical to the virtual-dispatch MnaSystem oracle and must
+// reproduce the committed golden data.
 //
-// Three layers of evidence:
+// Two layers of evidence:
 //   1. Matrix-level parity: a zoo netlist containing every device type is
-//      assembled by both engines at randomized Newton iterates, in all
-//      three stamp modes (DC, transient BE, transient trapezoid), against
-//      dense and sparse legacy storage — every Jacobian entry, residual
-//      and row-scale value compared with exact (==) equality.
-//   2. End-to-end waveform parity: a full 2T-cell write -> hold -> read
-//      and a 200-stage RC ladder transient (sparse path, LU structure
-//      reuse) run once per engine; timestep sequences and every probe
-//      sample must match bit for bit.
-//   3. Escalation parity: the gmin-continuation DC rescue lands on the
-//      same operating point with the same iteration/level counts.
+//      assembled by both at randomized Newton iterates, in all three
+//      stamp modes (DC, transient BE, transient trapezoid), against dense
+//      and sparse oracle storage — every Jacobian entry, residual and
+//      row-scale value compared with exact (==) equality.
+//   2. End-to-end golden data (tests/golden/*.golden, tolerances in each
+//      file's header): a 200-stage RC ladder transient (sparse path, LU
+//      structure reuse), a full 2T-cell write -> hold -> read, and the
+//      diode-string DC operating point of the gmin-continuation solve.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cell2t.h"
@@ -86,22 +90,20 @@ const Mode kModes[] = {
     {"trap", false, 0.3e-9, 1e-12, IntegrationMethod::kTrapezoidal},
 };
 
-// Assemble both engines at the same iterate and require exact equality of
-// residual, row scale and every Jacobian entry.  The compiled CSR pattern
-// is a superset of the legacy pattern (the legacy path drops exact-zero
-// contributions), so compiled-only entries must carry 0.0 and legacy
-// entries must all exist in the pattern.  With `batched` the compiled
-// engine evaluates through the SoA device batches (type-major kernels,
-// netlist-order scatter) — still required to be bit-identical.
-void expectParityAtIterates(bool sparseLegacy, bool batched = false) {
+// Assemble the compiled engine and the oracle at the same iterate and
+// require exact equality of residual, row scale and every Jacobian entry.
+// The compiled CSR pattern is a superset of the oracle's pattern (the
+// oracle drops exact-zero contributions), so compiled-only entries must
+// carry 0.0 and oracle entries must all exist in the pattern.
+void expectParityAtIterates(bool sparseOracle) {
   Netlist n;
   buildZoo(n);
   const int unknowns = n.freeze();
   const int nodes = n.nodeCount();
   ASSERT_GT(unknowns, 0);
 
-  MnaSystem legacy(unknowns, sparseLegacy);
-  Assembler compiled(n.stampPattern(), sparseLegacy);
+  MnaSystem oracle(unknowns, sparseOracle);
+  Assembler compiled(n.stampPattern(), sparseOracle);
   const StampPattern& pattern = n.stampPattern();
   const double gmin = 1e-10;
 
@@ -118,58 +120,57 @@ void expectParityAtIterates(bool sparseLegacy, bool batched = false) {
 
     for (const Mode& mode : kModes) {
       SCOPED_TRACE(std::string("mode=") + mode.name +
-                   (sparseLegacy ? " legacy=sparse" : " legacy=dense") +
-                   (batched ? " batched" : " scalar") +
+                   (sparseOracle ? " oracle=sparse" : " oracle=dense") +
                    " iterate=" + std::to_string(iterate));
 
-      legacy.clear();
+      oracle.clear();
       EvalContext ctx{view,        mode.dc, mode.time, mode.dt,
-                      mode.method, gmin,    nullptr,   &legacy};
+                      mode.method, gmin,    nullptr,   &oracle};
       for (const auto& device : n.devices()) device->stamp(ctx);
-      legacy.addGmin(gmin, view, nodes);
+      oracle.addGmin(gmin, view, nodes);
 
       compiled.assemble(n, view, mode.dc, mode.time, mode.dt, mode.method,
-                        gmin, batched);
+                        gmin);
 
       const auto residual = compiled.residual();
       const auto rowScale = compiled.rowScale();
       for (int i = 0; i < unknowns; ++i) {
         const auto u = static_cast<std::size_t>(i);
-        ASSERT_EQ(legacy.residual()[u], residual[u]) << "residual row " << i;
-        ASSERT_EQ(legacy.rowScale()[u], rowScale[u]) << "rowScale row " << i;
+        ASSERT_EQ(oracle.residual()[u], residual[u]) << "residual row " << i;
+        ASSERT_EQ(oracle.rowScale()[u], rowScale[u]) << "rowScale row " << i;
       }
 
       const linalg::CsrView csr = compiled.csr();
       for (std::size_t r = 0; r < csr.n; ++r) {
         for (std::size_t p = csr.rowPtr[r]; p < csr.rowPtr[r + 1]; ++p) {
           const std::size_t c = csr.colIdx[p];
-          double legacyValue = 0.0;
-          if (sparseLegacy) {
-            const auto& row = legacy.sparseMatrix().row(r);
+          double oracleValue = 0.0;
+          if (sparseOracle) {
+            const auto& row = oracle.sparseMatrix().row(r);
             const auto it = row.find(c);
-            if (it != row.end()) legacyValue = it->second;
+            if (it != row.end()) oracleValue = it->second;
           } else {
-            legacyValue = legacy.denseMatrix().at(r, c);
+            oracleValue = oracle.denseMatrix().at(r, c);
           }
-          ASSERT_EQ(legacyValue, csr.values[p]) << "J(" << r << "," << c
+          ASSERT_EQ(oracleValue, csr.values[p]) << "J(" << r << "," << c
                                                 << ")";
         }
       }
-      // No legacy entry may fall outside the compiled pattern.
+      // No oracle entry may fall outside the compiled pattern.
       for (std::size_t r = 0; r < csr.n; ++r) {
-        if (sparseLegacy) {
-          for (const auto& [c, v] : legacy.sparseMatrix().row(r)) {
+        if (sparseOracle) {
+          for (const auto& [c, v] : oracle.sparseMatrix().row(r)) {
             ASSERT_NE(pattern.csrIndex(static_cast<int>(r),
                                        static_cast<int>(c)),
                       StampPattern::npos)
-                << "legacy-only entry J(" << r << "," << c << ")=" << v;
+                << "oracle-only entry J(" << r << "," << c << ")=" << v;
           }
         } else {
           for (std::size_t c = 0; c < csr.n; ++c) {
             if (pattern.csrIndex(static_cast<int>(r), static_cast<int>(c)) ==
                 StampPattern::npos) {
-              ASSERT_EQ(legacy.denseMatrix().at(r, c), 0.0)
-                  << "legacy-only entry J(" << r << "," << c << ")";
+              ASSERT_EQ(oracle.denseMatrix().at(r, c), 0.0)
+                  << "oracle-only entry J(" << r << "," << c << ")";
             }
           }
         }
@@ -179,47 +180,80 @@ void expectParityAtIterates(bool sparseLegacy, bool batched = false) {
 }
 
 TEST(StampParity, EveryDeviceMatchesDenseOracleAtRandomIterates) {
-  expectParityAtIterates(/*sparseLegacy=*/false);
+  expectParityAtIterates(/*sparseOracle=*/false);
 }
 
 TEST(StampParity, EveryDeviceMatchesSparseOracleAtRandomIterates) {
-  expectParityAtIterates(/*sparseLegacy=*/true);
+  expectParityAtIterates(/*sparseOracle=*/true);
 }
 
-// Same coverage (every device type x all three stamp modes x randomized
-// iterates), but the compiled engine assembles through the SoA batch
-// kernels.  The zoo includes the batched types (R, C, V, I, diode,
-// MOSFET, FeCap) and the generic-fallback types (switch, inductor,
-// VCVS, VCCS), so both dispatch paths and their interleaving run.
-TEST(StampParity, BatchedKernelsMatchDenseOracleAtRandomIterates) {
-  expectParityAtIterates(/*sparseLegacy=*/false, /*batched=*/true);
-}
-
-TEST(StampParity, BatchedKernelsMatchSparseOracleAtRandomIterates) {
-  expectParityAtIterates(/*sparseLegacy=*/true, /*batched=*/true);
-}
-
-void expectWaveformsIdentical(const Waveform& a, const Waveform& b) {
-  ASSERT_EQ(a.sampleCount(), b.sampleCount());
-  const auto ta = a.time();
-  const auto tb = b.time();
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    ASSERT_EQ(ta[i], tb[i]) << "timestep sequence diverged at " << i;
-  }
-  for (const auto& name : a.columnNames()) {
-    ASSERT_TRUE(b.hasColumn(name));
-    const auto ca = a.column(name);
-    const auto cb = b.column(name);
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(ca[i], cb[i]) << name << " diverged at sample " << i;
+// Committed golden data (tests/golden/*.golden): whitespace-separated
+// records "key field...", '#' lines are comments.  Counts and bits compare
+// exactly; real values within the file's `rel_tol`, relative to the golden
+// value.
+class Golden {
+ public:
+  explicit Golden(const std::string& name) {
+    std::ifstream in(std::string(GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(in.good()) << "cannot open golden file " << name;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::string key;
+      fields >> key;
+      std::vector<std::string> values;
+      for (std::string v; fields >> v;) values.push_back(v);
+      records_.emplace_back(key, std::move(values));
     }
+    relTol_ = real(one("rel_tol").at(0));
+    EXPECT_GT(relTol_, 0.0);
+    EXPECT_LE(relTol_, 1e-9) << "golden tolerance looser than 1e-9";
   }
-}
+
+  /// Fields of every record with this key, in file order.
+  std::vector<std::vector<std::string>> all(const std::string& key) const {
+    std::vector<std::vector<std::string>> out;
+    for (const auto& [k, values] : records_) {
+      if (k == key) out.push_back(values);
+    }
+    return out;
+  }
+
+  /// Fields of the single record with this key.
+  std::vector<std::string> one(const std::string& key) const {
+    const auto matches = all(key);
+    EXPECT_EQ(matches.size(), 1u) << "golden key " << key;
+    return matches.empty() ? std::vector<std::string>{"nan"} : matches[0];
+  }
+
+  static long integer(const std::string& field) {
+    return std::strtol(field.c_str(), nullptr, 10);
+  }
+  long integerOf(const std::string& key) const {
+    return integer(one(key).at(0));
+  }
+
+  void expectReal(double got, const std::string& field,
+                  const std::string& what) const {
+    const double golden = real(field);
+    EXPECT_LE(std::abs(got - golden), relTol_ * std::abs(golden))
+        << what << ": got " << got << ", golden " << field;
+  }
+
+ private:
+  static double real(const std::string& field) {
+    return std::strtod(field.c_str(), nullptr);
+  }
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> records_;
+  double relTol_ = 0.0;
+};
 
 // Long RC ladder: > kDenseToSparseCrossover unknowns, so this is the
 // sparse-storage path with LU structure reuse — exactly the array-scale
 // configuration the pipeline was built for.
-TransientResult runLadder(bool compiledStamps, bool batchedKernels) {
+TEST(StampParity, LadderTransientMatchesGolden) {
   Netlist n;
   constexpr int kStages = 200;
   n.add<VoltageSource>("V1", n.node("s0"), n.ground(),
@@ -230,59 +264,60 @@ TransientResult runLadder(bool compiledStamps, bool batchedKernels) {
     n.add<Resistor>("R" + std::to_string(i), a, b, 100.0);
     n.add<Capacitor>("C" + std::to_string(i), b, n.ground(), 1e-15);
   }
-  NewtonOptions newton;
-  newton.useCompiledStamps = compiledStamps;
-  newton.useBatchedKernels = batchedKernels;
-  Simulator sim(n, newton);
-  EXPECT_EQ(sim.newton().usesCompiledStamps(), compiledStamps);
+  Simulator sim(n);
   sim.initializeUic();
   TransientOptions options;
   options.duration = 2e-9;
   options.dtMax = 20e-12;
-  return sim.runTransient(
+  const TransientResult result = sim.runTransient(
       options, {Probe::v("s1"), Probe::v("s100"), Probe::v("s200")});
-}
 
-TEST(StampParity, LadderTransientIsBitIdenticalAcrossEngines) {
-  // Three engines: legacy oracle, compiled-scalar, compiled-batched.
-  const auto legacy = runLadder(false, false);
-  const auto compiled = runLadder(true, false);
-  const auto batched = runLadder(true, true);
-  expectWaveformsIdentical(compiled.waveform, legacy.waveform);
-  expectWaveformsIdentical(batched.waveform, legacy.waveform);
-  EXPECT_EQ(compiled.stats.newtonIterations, legacy.stats.newtonIterations);
-  EXPECT_EQ(compiled.stats.steps, legacy.stats.steps);
-  EXPECT_EQ(batched.stats.newtonIterations, legacy.stats.newtonIterations);
-  EXPECT_EQ(batched.stats.steps, legacy.stats.steps);
+  const Golden golden("ladder_transient.golden");
+  EXPECT_EQ(result.stats.steps, golden.integerOf("steps"));
+  EXPECT_EQ(result.stats.newtonIterations,
+            golden.integerOf("newton_iterations"));
+  const auto samples = golden.all("sample");
+  ASSERT_EQ(samples.size(),
+            static_cast<std::size_t>(golden.integerOf("samples")));
+  ASSERT_EQ(result.waveform.sampleCount(), samples.size());
+  const auto time = result.waveform.time();
+  const char* columns[] = {"v(s1)", "v(s100)", "v(s200)"};
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_EQ(samples[i].size(), 4u) << "golden sample " << i;
+    golden.expectReal(time[i], samples[i][0],
+                      "time at sample " + std::to_string(i));
+    for (int c = 0; c < 3; ++c) {
+      golden.expectReal(result.waveform.column(columns[c])[i],
+                        samples[i][static_cast<std::size_t>(c) + 1],
+                        std::string(columns[c]) + " at sample " +
+                            std::to_string(i));
+    }
+  }
 }
 
 // Full 2T-cell write -> hold -> read: the FEFET gate stack (MOSFET +
 // FeCap aux unknown) through pulse edges, dt control and state commits.
-// Engine 0 = compiled + batched, engine 1 = compiled scalar, engine 2 =
-// legacy oracle; all three must agree bit for bit.
-TEST(StampParity, Cell2TWriteHoldReadIsBitIdenticalAcrossEngines) {
-  core::CellOpResult ops[3][3];
-  for (int engine = 0; engine < 3; ++engine) {
-    core::Cell2TConfig config;
-    config.newton.useCompiledStamps = engine < 2;
-    config.newton.useBatchedKernels = engine == 0;
-    core::Cell2T cell(config);
-    cell.setStoredBit(false);
-    ops[engine][0] = cell.write(true, 1e-9);
-    ops[engine][1] = cell.hold(1e-9);
-    ops[engine][2] = cell.read();
-  }
-  for (int engine = 0; engine < 2; ++engine) {
-    for (int op = 0; op < 3; ++op) {
-      SCOPED_TRACE("engine " + std::to_string(engine) + " op " +
-                   std::to_string(op));
-      expectWaveformsIdentical(ops[engine][op].waveform, ops[2][op].waveform);
-      ASSERT_EQ(ops[engine][op].finalPolarization,
-                ops[2][op].finalPolarization);
-      ASSERT_EQ(ops[engine][op].bitAfter, ops[2][op].bitAfter);
-      ASSERT_EQ(ops[engine][op].readCurrent, ops[2][op].readCurrent);
-      ASSERT_EQ(ops[engine][op].totalEnergy, ops[2][op].totalEnergy);
-    }
+TEST(StampParity, Cell2TWriteHoldReadMatchesGolden) {
+  core::Cell2T cell{core::Cell2TConfig{}};
+  cell.setStoredBit(false);
+  const core::CellOpResult ops[] = {cell.write(true, 1e-9), cell.hold(1e-9),
+                                    cell.read()};
+  const char* names[] = {"write", "hold", "read"};
+
+  const Golden golden("cell2t_write_hold_read.golden");
+  const auto records = golden.all("op");
+  ASSERT_EQ(records.size(), 3u);
+  for (std::size_t op = 0; op < 3; ++op) {
+    const auto& g = records[op];
+    ASSERT_EQ(g.size(), 6u);
+    ASSERT_EQ(g[0], names[op]);
+    SCOPED_TRACE(std::string("op ") + names[op]);
+    EXPECT_EQ(static_cast<long>(ops[op].waveform.sampleCount()),
+              golden.integer(g[1]));
+    golden.expectReal(ops[op].finalPolarization, g[2], "final P");
+    EXPECT_EQ(ops[op].bitAfter ? 1 : 0, golden.integer(g[3]));
+    golden.expectReal(ops[op].readCurrent, g[4], "read current");
+    golden.expectReal(ops[op].totalEnergy, g[5], "total energy");
   }
 }
 
@@ -315,41 +350,35 @@ TEST(StampParity, MixedNodeAuxIterateFollowsRowConvention) {
   //   row 1 (source constraint): v(in) - 1.0 = -0.3.
   Assembler compiled(n.stampPattern(), /*useSparse=*/false);
   compiled.assemble(n, view, /*dc=*/true, 0.0, 0.0,
-                    IntegrationMethod::kBackwardEuler, /*gmin=*/0.0,
-                    /*useBatchedKernels=*/true);
+                    IntegrationMethod::kBackwardEuler, /*gmin=*/0.0);
   const auto residual = compiled.residual();
   ASSERT_EQ(residual.size(), 2u);
   EXPECT_EQ(residual[0], 0.7 / 1e3 + 0.3);
   EXPECT_EQ(residual[1], 0.7 - 1.0);
 }
 
-// Gmin continuation: the hard-start diode string must traverse the same
-// escalation ladder and land on the same operating point in both engines.
-TEST(StampParity, GminContinuationIsBitIdenticalAcrossEngines) {
-  double voltages[2][3];
-  NewtonStats stats[2];
-  for (int engine = 0; engine < 2; ++engine) {
-    Netlist n;
-    n.add<VoltageSource>("V1", n.node("top"), n.ground(), shapes::dc(3.0));
-    n.add<Diode>("D1", n.node("top"), n.node("m1"));
-    n.add<Diode>("D2", n.node("m1"), n.node("m2"));
-    n.add<Diode>("D3", n.node("m2"), n.node("m3"));
-    n.add<Diode>("D4", n.node("m3"), n.ground());
-    n.add<Resistor>("Rload", n.node("m3"), n.ground(), 1e6);
-    NewtonOptions newton;
-    newton.useCompiledStamps = engine == 0;
-    Simulator sim(n, newton);
-    stats[engine] = sim.solveDc();
-    voltages[engine][0] = sim.nodeVoltage("m1");
-    voltages[engine][1] = sim.nodeVoltage("m2");
-    voltages[engine][2] = sim.nodeVoltage("m3");
-  }
-  EXPECT_TRUE(stats[0].converged);
-  EXPECT_TRUE(stats[1].converged);
-  EXPECT_EQ(stats[0].iterations, stats[1].iterations);
-  EXPECT_EQ(stats[0].gminEscalations, stats[1].gminEscalations);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(voltages[0][i], voltages[1][i]) << "node m" << (i + 1);
+// The hard-start diode string of the gmin-continuation DC solve must land
+// on the golden operating point with the golden iteration/level counts.
+TEST(StampParity, GminContinuationMatchesGolden) {
+  Netlist n;
+  n.add<VoltageSource>("V1", n.node("top"), n.ground(), shapes::dc(3.0));
+  n.add<Diode>("D1", n.node("top"), n.node("m1"));
+  n.add<Diode>("D2", n.node("m1"), n.node("m2"));
+  n.add<Diode>("D3", n.node("m2"), n.node("m3"));
+  n.add<Diode>("D4", n.node("m3"), n.ground());
+  n.add<Resistor>("Rload", n.node("m3"), n.ground(), 1e6);
+  Simulator sim(n);
+  const NewtonStats stats = sim.solveDc();
+
+  const Golden golden("gmin_continuation.golden");
+  EXPECT_EQ(stats.converged ? 1 : 0, golden.integerOf("converged"));
+  EXPECT_EQ(stats.iterations, golden.integerOf("iterations"));
+  EXPECT_EQ(stats.gminEscalations, golden.integerOf("gmin_escalations"));
+  const auto voltages = golden.all("v");
+  ASSERT_EQ(voltages.size(), 3u);
+  for (const auto& v : voltages) {
+    ASSERT_EQ(v.size(), 2u);
+    golden.expectReal(sim.nodeVoltage(v[0]), v[1], "v(" + v[0] + ")");
   }
 }
 
