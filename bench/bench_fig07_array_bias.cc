@@ -210,9 +210,7 @@ int runSpeedup(const Cli& cli) {
   bench::banner("hierarchical solve speedup smoke");
   core::ArrayNetlist hier(makeConfig(cli, /*hierarchical=*/true));
   core::ArrayNetlist flat(makeConfig(cli, /*hierarchical=*/false));
-  // One short op keeps the flat oracle affordable at 64x64: the flat
-  // sparse LU pays the full cross-row fill every Newton iteration, which
-  // is exactly the cost the BBD partition removes.
+  // One short op on each engine, the same transient for both.
   const double holdTime = 0.3e-9;
   const bench::WallTimer tf;
   flat.hold(holdTime);

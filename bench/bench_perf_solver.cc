@@ -3,9 +3,11 @@
 // paper figure — this documents the cost of the hand-rolled substrate.
 #include <benchmark/benchmark.h>
 
+#include "core/array_netlist.h"
 #include "core/cell2t.h"
 #include "core/fefet.h"
 #include "core/memory_array.h"
+#include "spice/assembler.h"
 #include "spice/netlist.h"
 #include "spice/passives.h"
 #include "spice/simulator.h"
@@ -99,5 +101,30 @@ static void BM_ArrayWrite(benchmark::State& state) {
   state.SetComplexityN(size * size);
 }
 BENCHMARK(BM_ArrayWrite)->Arg(2)->Arg(4)->Arg(6)->Complexity();
+
+// One Newton linear solve (LU refactor + substitution) of an R x R array
+// Jacobian through the dense (arg 1 = 0) or sparse (arg 1 = 1) path: the
+// measurement behind kDenseToSparseCrossover (DESIGN.md §6.2).
+static void BM_ArraySolvePath(benchmark::State& state) {
+  core::ArrayNetlistConfig cfg;
+  cfg.rows = static_cast<int>(state.range(0));
+  cfg.cols = cfg.rows;
+  cfg.newton.useHierarchicalSolve = false;
+  core::ArrayNetlist arr(cfg);
+  const spice::Netlist& netlist = arr.netlist();
+  spice::Assembler assembler(netlist.stampPattern(), state.range(1) == 1);
+  std::vector<double> x(static_cast<std::size_t>(netlist.unknownCount()), 0.0);
+  for (const auto& device : netlist.devices()) device->seedUnknowns(x);
+  assembler.assemble(netlist, spice::SystemView(x, netlist.nodeCount()),
+                     /*dc=*/false, 0.0, 1e-12,
+                     spice::IntegrationMethod::kTrapezoidal, 1e-12);
+  std::vector<double> dx;
+  for (auto _ : state) {
+    assembler.solveForUpdate(dx, /*reuseLuStructure=*/true);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.counters["unknowns"] = netlist.unknownCount();
+}
+BENCHMARK(BM_ArraySolvePath)->ArgsProduct({{1, 2, 3, 6, 8}, {0, 1}});
 
 BENCHMARK_MAIN();

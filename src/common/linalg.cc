@@ -178,335 +178,269 @@ std::vector<double> SparseMatrix::multiply(std::span<const double> x) const {
   return y;
 }
 
+void SparseMatrix::toCsr(CsrMatrix& out) const {
+  out.n = rows_.size();
+  out.rowPtr.assign(1, 0);
+  out.colIdx.clear();
+  out.values.clear();
+  for (const auto& row : rows_) {
+    for (const auto& [c, v] : row) {
+      out.colIdx.push_back(c);
+      out.values.push_back(v);
+    }
+    out.rowPtr.push_back(out.colIdx.size());
+  }
+}
+
 std::size_t SparseMatrix::nonZeros() const {
   std::size_t nz = 0;
   for (const auto& row : rows_) nz += row.size();
   return nz;
 }
 
-SparseLu::SparseLu(const SparseMatrix& a) {
-  const std::size_t n = a.size();
-  // Working copy of the rows; we eliminate in place.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) rows[r] = a.row(r);
+namespace {
 
-  perm_.resize(n);
-  std::vector<std::size_t> rowOf(n);  // position k -> original row index
-  for (std::size_t i = 0; i < n; ++i) rowOf[i] = i;
+/// Pivot magnitudes below this are treated as exact zeros (singular).
+constexpr double kSingularPivot = 1e-300;
 
-  lower_.assign(n, {});
-  upper_.assign(n, {});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Pivot: among remaining rows, pick the one with the largest |entry| in
-    // column k (partial pivoting, like the dense path).
-    std::size_t best = n;
-    double bestMag = 0.0;
-    for (std::size_t i = k; i < n; ++i) {
-      const auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double mag = std::abs(it->second);
-      if (mag > bestMag) {
-        bestMag = mag;
-        best = i;
-      }
-    }
-    if (best == n || bestMag < 1e-300) {
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n;
-      throw NumericalError(os.str());
-    }
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const double pivot = rows[prow][k];
-
-    // Record U row k (entries at columns >= k).
-    upper_[k] = rows[prow];
-
-    // Eliminate column k from all remaining rows that contain it.
-    for (std::size_t i = k + 1; i < n; ++i) {
-      auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double factor = it->second / pivot;
-      row.erase(it);
-      lower_[rowOf[i]][k] = factor;
-      if (factor == 0.0) continue;
-      for (auto uit = upper_[k].upper_bound(k); uit != upper_[k].end();
-           ++uit) {
-        row[uit->first] -= factor * uit->second;
-      }
-    }
-  }
-  perm_ = rowOf;
-
-  // Re-key lower_ so that lower_[k] holds the multipliers of the row placed
-  // at position k (in elimination order).
-  std::vector<std::map<std::size_t, double>> lowerByPos(n);
-  for (std::size_t k = 0; k < n; ++k) lowerByPos[k] = lower_[perm_[k]];
-  lower_ = std::move(lowerByPos);
+[[noreturn]] void throwSingular(std::size_t k, std::size_t n) {
+  std::ostringstream os;
+  os << "SparseLu: singular matrix at elimination step " << k << " of " << n;
+  throw NumericalError(os.str());
 }
 
-std::vector<double> SparseLu::solve(std::span<const double> b) const {
-  const std::size_t n = perm_.size();
-  FEFET_REQUIRE(b.size() == n, "SparseLu::solve: size mismatch");
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  // Forward substitution: L has unit diagonal; lower_[i] keys are column
-  // positions (< i) in elimination order.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = x[i];
-    for (const auto& [j, v] : lower_[i]) acc -= v * x[j];
-    x[i] = acc;
-  }
-  // Backward substitution on U.
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = x[i];
-    double diag = 0.0;
-    for (const auto& [j, v] : upper_[i]) {
-      if (j == i) {
-        diag = v;
-      } else if (j > i) {
-        acc -= v * x[j];
-      }
-    }
-    x[i] = acc / diag;
-  }
-  return x;
-}
+}  // namespace
 
-void SparseLuFactorizer::factor(const SparseMatrix& a) {
-  if (loadValues(a)) {
-    if (refactorNumeric()) {
-      ++numericRefactorizations_;
-      return;
-    }
-    ++pivotFallbacks_;
-  }
-  factorFull(a);
+void SparseLuFactorizer::reset() {
+  analysed_ = false;
+  factored_ = false;
 }
 
 void SparseLuFactorizer::factor(const CsrView& a) {
-  if (loadValues(a)) {
-    if (refactorNumeric()) {
-      ++numericRefactorizations_;
-      return;
-    }
-    ++pivotFallbacks_;
-  }
-  // Full symbolic pass: copy the CSR entries (explicit zeros included, so
-  // the harvested origCols_ pattern matches the view exactly and the next
-  // loadValues(CsrView) takes the fast path) into the row-map form the
-  // symbolic factorization works on.  This runs once per pattern — and
-  // again only on pivot drift.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  factorFull(rowMap);
-}
-
-bool SparseLuFactorizer::loadValues(const SparseMatrix& a) {
-  if (!structureValid_ || a.size() != n_) return false;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const auto& row = a.row(r);
-    if (row.size() != origCols_[r].size()) return false;
-    auto& v = vals_[r];
-    std::fill(v.begin(), v.end(), 0.0);
-    std::size_t q = 0;
-    for (const auto& [c, val] : row) {
-      if (origCols_[r][q] != c) return false;
-      v[origPos_[r][q]] = val;
-      ++q;
-    }
-  }
-  return true;
-}
-
-bool SparseLuFactorizer::loadValues(const CsrView& a) {
-  if (!structureValid_ || a.n != n_) return false;
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t begin = a.rowPtr[r];
-    const std::size_t count = a.rowPtr[r + 1] - begin;
-    const auto& cols = origCols_[r];
-    if (count != cols.size()) return false;
-    auto& v = vals_[r];
-    std::fill(v.begin(), v.end(), 0.0);
-    const auto& pos = origPos_[r];
-    for (std::size_t q = 0; q < count; ++q) {
-      if (a.colIdx[begin + q] != cols[q]) return false;
-      v[pos[q]] = a.values[begin + q];
-    }
-  }
-  return true;
-}
-
-bool SparseLuFactorizer::refactorNumeric() {
-  // Replays the elimination of factorFull() on the cached fill pattern.
-  // The pivot *search* is identical (largest magnitude in column k among
-  // remaining rows, first-wins ties, same scan order), so whenever the
-  // search agrees with the cached pivot sequence the arithmetic — values
-  // and evaluation order both — matches a fresh factorization exactly.
-  // Cached fill slots that a fresh run has not created yet hold 0.0 and
-  // are inert: a zero can never win the pivot scan, a zero multiplier
-  // skips its update loop, and zero update terms do not change values.
-  rowOfScratch_.resize(n_);
-  std::vector<std::size_t>& rowOf = rowOfScratch_;
-  for (std::size_t i = 0; i < n_; ++i) rowOf[i] = i;
-
-  const auto findCol = [this](std::size_t r, std::size_t c) -> std::ptrdiff_t {
-    const auto& cols = fullCols_[r];
-    const auto it = std::lower_bound(cols.begin(), cols.end(), c);
-    if (it == cols.end() || *it != c) return -1;
-    return it - cols.begin();
-  };
-
-  for (std::size_t k = 0; k < n_; ++k) {
-    std::size_t best = n_;
-    double bestMag = 0.0;
-    for (std::size_t i = k; i < n_; ++i) {
-      const std::ptrdiff_t p = findCol(rowOf[i], k);
-      if (p < 0) continue;
-      const double mag = std::abs(vals_[rowOf[i]][static_cast<std::size_t>(p)]);
-      if (mag > bestMag) {
-        bestMag = mag;
-        best = i;
-      }
-    }
-    if (best == n_ || bestMag < 1e-300) {
-      // Cached fill entries are explicit zeros and cannot be selected, so
-      // a fresh factorization of this matrix is singular here too.
+  if (analysed_ && samePattern(a)) {
+    if (factored_) {
       factored_ = false;
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n_;
-      throw NumericalError(os.str());
-    }
-    if (rowOf[best] != cachedPerm_[k]) return false;  // pivot drift
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const auto& pcols = fullCols_[prow];
-    auto& pvals = vals_[prow];
-    const std::size_t pk = static_cast<std::size_t>(findCol(prow, k));
-    const double pivot = pvals[pk];
-
-    for (std::size_t i = k + 1; i < n_; ++i) {
-      const std::size_t r2 = rowOf[i];
-      const std::ptrdiff_t pos = findCol(r2, k);
-      if (pos < 0) continue;
-      auto& rv = vals_[r2];
-      const double factor = rv[static_cast<std::size_t>(pos)] / pivot;
-      rv[static_cast<std::size_t>(pos)] = factor;  // now the L multiplier
-      if (factor == 0.0) continue;
-      const auto& rcols = fullCols_[r2];
-      std::size_t ai = static_cast<std::size_t>(pos) + 1;
-      for (std::size_t bi = pk + 1; bi < pcols.size(); ++bi) {
-        const std::size_t c = pcols[bi];
-        while (ai < rcols.size() && rcols[ai] < c) ++ai;
-        if (ai >= rcols.size() || rcols[ai] != c) return false;  // bad cache
-        rv[ai] -= factor * pvals[bi];
-        ++ai;
+      if (refactor(a.values)) {
+        factored_ = true;
+        ++numericRefactorizations_;
+        return;
       }
+      ++pivotFallbacks_;
     }
+  } else {
+    analyse(a);
   }
-  perm_ = cachedPerm_;
-  factored_ = true;
-  return true;
+  factorFull(a.values);
 }
 
-void SparseLuFactorizer::factorFull(const SparseMatrix& a) {
-  const std::size_t n = a.size();
+bool SparseLuFactorizer::samePattern(const CsrView& a) const {
+  return a.n == n_ && a.rowPtr.size() == patRowPtr_.size() &&
+         std::equal(a.rowPtr.begin(), a.rowPtr.end(), patRowPtr_.begin()) &&
+         a.colIdx.size() >= patColIdx_.size() &&
+         std::equal(patColIdx_.begin(), patColIdx_.end(), a.colIdx.begin());
+}
+
+void SparseLuFactorizer::analyse(const CsrView& a) {
+  FEFET_REQUIRE(a.rowPtr.size() == a.n + 1,
+                "SparseLuFactorizer: rowPtr must have n + 1 entries");
+  const std::size_t n = a.n;
+  const std::size_t nnz = a.rowPtr[n];
+  FEFET_REQUIRE(a.colIdx.size() >= nnz && a.values.size() >= nnz,
+                "SparseLuFactorizer: CSR arrays shorter than rowPtr[n]");
+  analysed_ = false;
+  factored_ = false;
   n_ = n;
-  structureValid_ = false;
+  const auto cols = a.colIdx.first(nnz);
+  patRowPtr_.assign(a.rowPtr.begin(), a.rowPtr.end());
+  patColIdx_.assign(cols.begin(), cols.end());
+
+  // Fill-reducing order of A + Aᵀ: the ordering symmetrizes the pattern
+  // and drops the diagonal itself (and rejects out-of-range columns).
+  order_ = approximateMinimumDegree(n, a.rowPtr, cols);
+
+  // CSC of B = A(order_, order_), rows ascending within each column.
+  std::vector<std::size_t> inv(n);
+  for (std::size_t k = 0; k < n; ++k) inv[order_[k]] = k;
+  bColPtr_.assign(n + 1, 0);
+  for (std::size_t p = 0; p < nnz; ++p) ++bColPtr_[inv[a.colIdx[p]] + 1];
+  for (std::size_t k = 0; k < n; ++k) bColPtr_[k + 1] += bColPtr_[k];
+  bRow_.resize(nnz);
+  bSrc_.resize(nnz);
+  std::vector<std::size_t> next(bColPtr_.begin(), bColPtr_.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = order_[i];
+    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
+      const std::size_t q = next[inv[a.colIdx[p]]]++;
+      bRow_[q] = i;
+      bSrc_[q] = p;
+    }
+  }
+
+  x_.assign(n, 0.0);
+  flag_.assign(n, 0);
+  pattern_.assign(n, 0);
+  stack_.assign(n, 0);
+  childPos_.assign(n, 0);
+  pinv_.assign(n, 0);
+  uDiag_.assign(n, 0.0);
+  rhsSrc_.assign(n, 0);
+  bLab_.resize(nnz);
+  analysed_ = true;
+}
+
+std::size_t SparseLuFactorizer::reach(std::size_t root, std::size_t k,
+                                      std::size_t top) {
+  // Iterative depth-first search from B row `root` through the columns of
+  // L: an already-pivoted row j leads to the rows of L(:, pinv_[j]).  Rows
+  // are emitted in postorder at the front of pattern_[top..n), so reading
+  // that range forwards is a topological order of the updates.  flag_
+  // holds k + 1 for rows visited while forming column k.
+  const std::size_t n = n_;
+  std::size_t depth = 0;
+  stack_[0] = root;
+  flag_[root] = k + 1;
+  childPos_[0] = pinv_[root] < n ? lColPtr_[pinv_[root]] : 0;
+  for (;;) {
+    const std::size_t i = stack_[depth];
+    const std::size_t end = pinv_[i] < n ? lColPtr_[pinv_[i] + 1] : 0;
+    std::size_t p = childPos_[depth];
+    while (p < end && flag_[lIdx_[p]] == k + 1) ++p;
+    if (p < end) {
+      const std::size_t r = lIdx_[p];
+      childPos_[depth] = p + 1;
+      flag_[r] = k + 1;
+      stack_[++depth] = r;
+      childPos_[depth] = pinv_[r] < n ? lColPtr_[pinv_[r]] : 0;
+      continue;
+    }
+    pattern_[--top] = i;
+    if (depth == 0) return top;
+    --depth;
+  }
+}
+
+void SparseLuFactorizer::factorFull(std::span<const double> values) {
+  // Gilbert–Peierls left-looking LU of B with threshold partial pivoting.
+  // While it runs, L's row indices are B rows (the DFS follows them
+  // through pinv_); they become labels once every pivot is known.
+  const std::size_t n = n_;
   factored_ = false;
   ++fullFactorizations_;
-
-  // Same elimination as SparseLu's constructor, with the original pattern
-  // recorded up front and the final fill pattern harvested afterwards.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) rows[r] = a.row(r);
-  std::vector<std::map<std::size_t, double>> lower(n);
-
-  origCols_.assign(n, {});
-  for (std::size_t r = 0; r < n; ++r) {
-    origCols_[r].reserve(rows[r].size());
-    for (const auto& [c, v] : rows[r]) origCols_[r].push_back(c);
-  }
-
-  std::vector<std::size_t> rowOf(n);
-  for (std::size_t i = 0; i < n; ++i) rowOf[i] = i;
+  std::fill(pinv_.begin(), pinv_.end(), n);  // n = not yet pivotal
+  std::fill(flag_.begin(), flag_.end(), 0);
+  std::fill(x_.begin(), x_.end(), 0.0);
+  lColPtr_.assign(1, 0);
+  uColPtr_.assign(1, 0);
+  lIdx_.clear();
+  lVal_.clear();
+  uIdx_.clear();
+  uVal_.clear();
 
   for (std::size_t k = 0; k < n; ++k) {
+    std::size_t top = n;
+    for (std::size_t p = bColPtr_[k]; p < bColPtr_[k + 1]; ++p) {
+      if (flag_[bRow_[p]] != k + 1) top = reach(bRow_[p], k, top);
+    }
+    for (std::size_t p = bColPtr_[k]; p < bColPtr_[k + 1]; ++p) {
+      x_[bRow_[p]] += values[bSrc_[p]];
+    }
+    // Sparse triangular solve with the finished columns of L.
+    for (std::size_t t = top; t < n; ++t) {
+      const std::size_t j = pinv_[pattern_[t]];
+      if (j == n) continue;
+      const double xj = x_[pattern_[t]];
+      for (std::size_t q = lColPtr_[j]; q < lColPtr_[j + 1]; ++q) {
+        x_[lIdx_[q]] -= lVal_[q] * xj;
+      }
+    }
+    // Threshold partial pivoting, preferring the diagonal row k.
     std::size_t best = n;
     double bestMag = 0.0;
-    for (std::size_t i = k; i < n; ++i) {
-      const auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double mag = std::abs(it->second);
+    bool diagonalFound = false;
+    for (std::size_t t = top; t < n; ++t) {
+      const std::size_t i = pattern_[t];
+      if (pinv_[i] != n) continue;
+      const double mag = std::abs(x_[i]);
       if (mag > bestMag) {
         bestMag = mag;
         best = i;
       }
+      if (i == k) diagonalFound = true;
     }
-    if (best == n || bestMag < 1e-300) {
-      std::ostringstream os;
-      os << "SparseLu: singular matrix at elimination step " << k << " of "
-         << n;
-      throw NumericalError(os.str());
+    if (best == n || bestMag < kSingularPivot) throwSingular(k, n);
+    if (diagonalFound && std::abs(x_[k]) >= kPivotTolerance * bestMag) {
+      best = k;
     }
-    std::swap(rowOf[k], rowOf[best]);
-    const std::size_t prow = rowOf[k];
-    const double pivot = rows[prow][k];
-    for (std::size_t i = k + 1; i < n; ++i) {
-      auto& row = rows[rowOf[i]];
-      const auto it = row.find(k);
-      if (it == row.end()) continue;
-      const double factor = it->second / pivot;
-      row.erase(it);
-      lower[rowOf[i]][k] = factor;
-      if (factor == 0.0) continue;
-      const auto& urow = rows[prow];
-      for (auto uit = urow.upper_bound(k); uit != urow.end(); ++uit) {
-        row[uit->first] -= factor * uit->second;
+    const double pivot = x_[best];
+    uDiag_[k] = pivot;
+    pinv_[best] = k;
+    x_[best] = 0.0;
+    for (std::size_t t = top; t < n; ++t) {
+      const std::size_t i = pattern_[t];
+      if (i == best) continue;
+      if (pinv_[i] < k) {
+        uIdx_.push_back(pinv_[i]);
+        uVal_.push_back(x_[i]);
+      } else {
+        lIdx_.push_back(i);
+        lVal_.push_back(x_[i] / pivot);
+      }
+      x_[i] = 0.0;
+    }
+    lColPtr_.push_back(lIdx_.size());
+    uColPtr_.push_back(uIdx_.size());
+  }
+
+  // Switch to labels: B row i now lives at position pinv_[i], whose
+  // label is order_[pinv_[i]].
+  for (std::size_t& i : lIdx_) i = order_[pinv_[i]];
+  for (std::size_t p = 0; p < bRow_.size(); ++p) {
+    bLab_[p] = order_[pinv_[bRow_[p]]];
+  }
+  for (std::size_t i = 0; i < n; ++i) rhsSrc_[pinv_[i]] = order_[i];
+  factored_ = true;
+}
+
+bool SparseLuFactorizer::refactor(std::span<const double> values) {
+  // Replays factorFull's arithmetic on the cached patterns: the same
+  // scatter, the same updates in the same (stored topological) order and
+  // the same divisions, so with an unchanged pivot sequence the factor is
+  // bit-identical to a full factorization.  x_ is indexed by label.
+  const std::size_t n = n_;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t p = bColPtr_[k]; p < bColPtr_[k + 1]; ++p) {
+      x_[bLab_[p]] += values[bSrc_[p]];
+    }
+    for (std::size_t q = uColPtr_[k]; q < uColPtr_[k + 1]; ++q) {
+      const std::size_t j = uIdx_[q];
+      double& xj = x_[order_[j]];
+      const double v = xj;
+      xj = 0.0;
+      uVal_[q] = v;
+      for (std::size_t p = lColPtr_[j]; p < lColPtr_[j + 1]; ++p) {
+        x_[lIdx_[p]] -= lVal_[p] * v;
       }
     }
-  }
-  perm_ = rowOf;
-  cachedPerm_ = rowOf;
-
-  // Harvest the in-place layout: row r keeps its L multipliers (columns
-  // below its pivot position) followed by its U entries — both maps are
-  // already sorted and L columns all precede U columns.
-  fullCols_.assign(n, {});
-  vals_.assign(n, {});
-  origPos_.assign(n, {});
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& cols = fullCols_[r];
-    auto& v = vals_[r];
-    cols.reserve(lower[r].size() + rows[r].size());
-    v.reserve(cols.capacity());
-    for (const auto& [c, val] : lower[r]) {
-      cols.push_back(c);
-      v.push_back(val);
+    double& diag = x_[order_[k]];
+    const double pivot = diag;
+    diag = 0.0;
+    double maxMag = std::abs(pivot);
+    for (std::size_t p = lColPtr_[k]; p < lColPtr_[k + 1]; ++p) {
+      maxMag = std::max(maxMag, std::abs(x_[lIdx_[p]]));
     }
-    for (const auto& [c, val] : rows[r]) {
-      cols.push_back(c);
-      v.push_back(val);
+    // Negated comparisons so a NaN pivot also falls back.
+    if (!(std::abs(pivot) >= kPivotTolerance * maxMag) ||
+        !(std::abs(pivot) >= kSingularPivot)) {
+      return false;  // x_ is cleared by the full factorization that follows
     }
-    origPos_[r].resize(origCols_[r].size());
-    std::size_t j = 0;
-    for (std::size_t q = 0; q < origCols_[r].size(); ++q) {
-      while (cols[j] != origCols_[r][q]) ++j;
-      origPos_[r][q] = j;
+    uDiag_[k] = pivot;
+    for (std::size_t p = lColPtr_[k]; p < lColPtr_[k + 1]; ++p) {
+      double& xi = x_[lIdx_[p]];
+      lVal_[p] = xi / pivot;
+      xi = 0.0;
     }
   }
-  structureValid_ = true;
-  factored_ = true;
+  return true;
 }
 
 std::vector<double> SparseLuFactorizer::solve(
@@ -521,36 +455,25 @@ void SparseLuFactorizer::solve(std::span<const double> b,
   FEFET_REQUIRE(factored_, "SparseLuFactorizer::solve called before factor()");
   FEFET_REQUIRE(b.size() == n_ && x.size() == n_,
                 "SparseLuFactorizer::solve: size mismatch");
-  for (std::size_t i = 0; i < n_; ++i) x[i] = b[perm_[i]];
-  // Forward substitution: row perm_[i] pivoted at position i, so its
-  // entries at columns < i are the unit-lower multipliers.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double acc = x[i];
-    for (std::size_t j = 0; j < cols.size() && cols[j] < i; ++j) {
-      acc -= v[j] * x[cols[j]];
+  const std::size_t n = n_;
+  for (std::size_t k = 0; k < n; ++k) x[order_[k]] = b[rhsSrc_[k]];
+  // L y = P b, column by column (unit diagonal).
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v = x[order_[k]];
+    if (v == 0.0) continue;
+    for (std::size_t p = lColPtr_[k]; p < lColPtr_[k + 1]; ++p) {
+      x[lIdx_[p]] -= lVal_[p] * v;
     }
-    x[i] = acc;
   }
-  // Backward substitution on U (columns >= i of row perm_[i]).
-  for (std::size_t i = n_; i-- > 0;) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double acc = x[i];
-    double diag = 0.0;
-    const std::size_t start = static_cast<std::size_t>(
-        std::lower_bound(cols.begin(), cols.end(), i) - cols.begin());
-    for (std::size_t j = start; j < cols.size(); ++j) {
-      if (cols[j] == i) {
-        diag = v[j];
-      } else {
-        acc -= v[j] * x[cols[j]];
-      }
+  // U z = y, column by column from the last pivot back.
+  for (std::size_t k = n; k-- > 0;) {
+    double& xk = x[order_[k]];
+    xk /= uDiag_[k];
+    const double v = xk;
+    if (v == 0.0) continue;
+    for (std::size_t q = uColPtr_[k]; q < uColPtr_[k + 1]; ++q) {
+      x[order_[uIdx_[q]]] -= uVal_[q] * v;
     }
-    x[i] = acc / diag;
   }
 }
 
@@ -559,59 +482,45 @@ void SparseLuFactorizer::solveMulti(std::span<const double> b,
                                     std::size_t nrhs) const {
   FEFET_REQUIRE(factored_,
                 "SparseLuFactorizer::solveMulti called before factor()");
-  FEFET_REQUIRE(b.size() == n_ * nrhs && x.size() == n_ * nrhs,
+  const std::size_t n = n_;
+  FEFET_REQUIRE(b.size() == n * nrhs && x.size() == n * nrhs,
                 "SparseLuFactorizer::solveMulti: size mismatch");
+  // Same steps as solve(), each applied to every column before the next
+  // one, so every column sees solve()'s exact operation sequence.
   for (std::size_t c = 0; c < nrhs; ++c) {
-    for (std::size_t i = 0; i < n_; ++i) x[c * n_ + i] = b[c * n_ + perm_[i]];
+    for (std::size_t k = 0; k < n; ++k) {
+      x[c * n + order_[k]] = b[c * n + rhsSrc_[k]];
+    }
   }
-  // Forward substitution, blocked over columns: every (i, j) elimination
-  // step is applied to all right-hand sides before moving on, so each
-  // column sees the identical operation sequence as the scalar solve().
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    for (std::size_t j = 0; j < cols.size() && cols[j] < i; ++j) {
-      const double l = v[j];
-      const std::size_t cj = cols[j];
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t lk = order_[k];
+    for (std::size_t p = lColPtr_[k]; p < lColPtr_[k + 1]; ++p) {
+      const double l = lVal_[p];
+      const std::size_t i = lIdx_[p];
       for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n_ + i] -= l * x[c * n_ + cj];
+        const double v = x[c * n + lk];
+        if (v != 0.0) x[c * n + i] -= l * v;
       }
     }
   }
-  // Backward substitution on U.
-  for (std::size_t i = n_; i-- > 0;) {
-    const std::size_t r = perm_[i];
-    const auto& cols = fullCols_[r];
-    const auto& v = vals_[r];
-    double diag = 0.0;
-    const std::size_t start = static_cast<std::size_t>(
-        std::lower_bound(cols.begin(), cols.end(), i) - cols.begin());
-    for (std::size_t j = start; j < cols.size(); ++j) {
-      if (cols[j] == i) {
-        diag = v[j];
-        continue;
-      }
-      const double u = v[j];
-      const std::size_t cj = cols[j];
+  for (std::size_t k = n; k-- > 0;) {
+    const std::size_t lk = order_[k];
+    for (std::size_t c = 0; c < nrhs; ++c) x[c * n + lk] /= uDiag_[k];
+    for (std::size_t q = uColPtr_[k]; q < uColPtr_[k + 1]; ++q) {
+      const double u = uVal_[q];
+      const std::size_t i = order_[uIdx_[q]];
       for (std::size_t c = 0; c < nrhs; ++c) {
-        x[c * n_ + i] -= u * x[c * n_ + cj];
+        const double v = x[c * n + lk];
+        if (v != 0.0) x[c * n + i] -= u * v;
       }
     }
-    for (std::size_t c = 0; c < nrhs; ++c) x[c * n_ + i] /= diag;
   }
 }
 
 void LinearSolver::solve(const SparseMatrix& a, std::span<const double> b,
-                         std::vector<double>& x, bool reuseStructure) {
-  x.resize(n_);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solve(b, x);
-    return;
-  }
-  SparseLu lu(a);
-  x = lu.solve(b);
+                         std::vector<double>& x) {
+  a.toCsr(csrScratch_);
+  solve(csrScratch_.view(), b, x, /*reuseStructure=*/true);
 }
 
 void LinearSolver::solve(const DenseMatrix& a, std::span<const double> b,
@@ -629,53 +538,9 @@ void LinearSolver::solve(std::span<const double> rowMajor,
 void LinearSolver::solve(const CsrView& a, std::span<const double> b,
                          std::vector<double>& x, bool reuseStructure) {
   x.resize(n_);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solve(b, x);
-    return;
-  }
-  // A/B diagnostic path: factor from scratch every call through the
-  // row-map SparseLu.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  SparseLu lu(rowMap);
-  x = lu.solve(b);
-}
-
-void LinearSolver::solveMulti(const CsrView& a, std::span<const double> b,
-                              std::vector<double>& x, std::size_t nrhs,
-                              bool reuseStructure) {
-  x.resize(n_ * nrhs);
-  if (reuseStructure) {
-    sparseFactor_.factor(a);
-    sparseFactor_.solveMulti(b, x, nrhs);
-    return;
-  }
-  // Diagnostic path: one fresh factorization, column-at-a-time solves —
-  // still factor-once, matching the scalar no-reuse path per column.
-  SparseMatrix rowMap(a.n);
-  for (std::size_t r = 0; r < a.n; ++r) {
-    for (std::size_t p = a.rowPtr[r]; p < a.rowPtr[r + 1]; ++p) {
-      rowMap.add(r, a.colIdx[p], a.values[p]);
-    }
-  }
-  SparseLu lu(rowMap);
-  for (std::size_t c = 0; c < nrhs; ++c) {
-    const std::vector<double> col = lu.solve(b.subspan(c * n_, n_));
-    std::copy(col.begin(), col.end(), x.begin() + static_cast<std::ptrdiff_t>(c * n_));
-  }
-}
-
-void LinearSolver::solveMulti(std::span<const double> rowMajor,
-                              std::span<const double> b,
-                              std::vector<double>& x, std::size_t nrhs) {
-  x.resize(n_ * nrhs);
-  denseFactor_.factor(n_, rowMajor);
-  denseFactor_.solveMulti(b, x, nrhs);
+  if (!reuseStructure) sparseFactor_.reset();
+  sparseFactor_.factor(a);
+  sparseFactor_.solve(b, x);
 }
 
 double normInf(std::span<const double> v) {

@@ -1,11 +1,12 @@
 // linalg.h — dense and sparse linear algebra for the MNA solver.
 //
 // DenseMatrix + LU with partial pivoting covers small circuits (cells,
-// sense amplifiers).  SparseMatrix with a row-map LU covers memory arrays,
-// where the MNA matrix is extremely sparse.  CsrView lets the compiled
-// stamp pipeline hand its fixed-pattern slot storage to the factorizers
-// without copying, and the LinearSolver facade at the bottom picks the
-// right backend for a given size/assembly combination.
+// sense amplifiers).  A KLU-style sparse LU (fill-reducing ordering,
+// Gilbert–Peierls factorization, value-only refactorization) covers memory
+// arrays, where the MNA matrix is extremely sparse.  CsrView lets the
+// compiled stamp pipeline hand its fixed-pattern slot storage to the
+// factorizers without copying, and the LinearSolver facade at the bottom
+// picks the right backend for a given size/assembly combination.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +19,8 @@ namespace fefet::linalg {
 /// Read-only compressed-sparse-row view of a square matrix whose storage
 /// lives elsewhere (the compiled stamp pipeline's slot buffer).  rowPtr has
 /// n + 1 entries; colIdx is ascending within each row; values parallels
-/// colIdx.  Entries may hold explicit 0.0 — like the row-map path with
-/// structure reuse, explicit zeros are numerically inert in the LU.
+/// colIdx.  Entries may hold explicit 0.0: the sparse LU keeps them in its
+/// structural pattern, where they are numerically inert.
 struct CsrView {
   std::size_t n = 0;
   std::span<const std::size_t> rowPtr;
@@ -115,10 +116,20 @@ class DenseLuFactorizer {
   double pivotRatio_ = 0.0;
 };
 
+/// Owning compressed-sparse-row storage; view() hands it to the
+/// factorizers as a CsrView.
+struct CsrMatrix {
+  std::size_t n = 0;
+  std::vector<std::size_t> rowPtr;
+  std::vector<std::size_t> colIdx;
+  std::vector<double> values;
+
+  CsrView view() const { return {n, rowPtr, colIdx, values}; }
+};
+
 /// Square sparse matrix stored as one std::map<col,double> per row.
-/// Assembly-friendly (random add), solvable with a fill-in-tolerant LU.
-/// This trades peak speed for simplicity and robustness, which is the right
-/// call for array-scale MNA systems (thousands of nodes, ~5 entries/row).
+/// Assembly-friendly (random add); the MnaSystem test oracle assembles
+/// into it and solves through one CSR conversion (toCsr).
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -131,15 +142,17 @@ class SparseMatrix {
 
   /// Zero every stored value but keep the sparsity pattern (map nodes).
   /// Re-assembling the same circuit then touches existing nodes instead of
-  /// re-allocating them, and downstream structure caches see a stable
-  /// pattern.  Entries that receive no contribution stay as explicit 0.0,
-  /// which is numerically inert for LU (zero multipliers are skipped and
-  /// zero updates do not change values).
+  /// re-allocating them, and the factorizer's pattern cache sees a stable
+  /// pattern.  Entries that receive no contribution stay as explicit 0.0.
   void setZeroKeepStructure();
 
   const std::map<std::size_t, double>& row(std::size_t r) const {
     return rows_[r];
   }
+
+  /// Write the matrix (explicit zeros included) into `out` as CSR,
+  /// reusing out's capacity.
+  void toCsr(CsrMatrix& out) const;
 
   std::vector<double> multiply(std::span<const double> x) const;
   std::size_t nonZeros() const;
@@ -148,102 +161,125 @@ class SparseMatrix {
   std::vector<std::map<std::size_t, double>> rows_;
 };
 
-/// Sparse LU with partial (threshold) pivoting over the row maps.
-class SparseLu {
- public:
-  explicit SparseLu(const SparseMatrix& a);
+/// Fill-reducing symmetric ordering by approximate minimum degree
+/// (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 1996) on a quotient
+/// graph with element absorption, supervariables and mass elimination.
+/// `adjPtr`/`adj` give the adjacency of an undirected graph on n vertices
+/// (CSR; self loops and duplicates are ignored, each edge may appear in
+/// one or both directions).  Returns order[k] = vertex eliminated k-th.
+std::vector<std::size_t> approximateMinimumDegree(
+    std::size_t n, std::span<const std::size_t> adjPtr,
+    std::span<const std::size_t> adj);
 
-  std::vector<double> solve(std::span<const double> b) const;
-
- private:
-  std::vector<std::map<std::size_t, double>> lower_;  // unit diagonal implied
-  std::vector<std::map<std::size_t, double>> upper_;
-  std::vector<std::size_t> perm_;  // row permutation: perm_[k] = original row
-};
-
-/// Sparse LU with a reusable symbolic structure.
+/// KLU-style sparse LU (Davis & Palamadai Natarajan, "Algorithm 907: KLU",
+/// ACM TOMS 2010) for the fixed-pattern MNA Jacobians of a frozen netlist.
 ///
-/// The MNA pattern of a frozen netlist is fixed, but `SparseLu` rediscovers
-/// it from scratch on every Newton iteration: it copies the row maps, finds
-/// fill-in positions by map insertion, and rebuilds the L/U maps.  This
-/// class performs that symbolic analysis once and caches
-///  * the full per-row fill pattern (original entries + fill),
-///  * the pivot sequence the magnitude-based partial pivoting chose,
-/// so later factorizations of a same-pattern matrix run *numerically only*
-/// on preallocated contiguous arrays.
+///  * Symbolic analysis, once per CSR pattern (the first factor() of a
+///    pattern): an approximate-minimum-degree column ordering Q of A + Aᵀ
+///    and the CSC layout of A(Q, Q) with its gather map into the CSR
+///    values.
+///  * Full factorization: Gilbert–Peierls left-looking LU (SIAM J. Sci.
+///    Stat. Comput. 1988).  Each column runs a depth-first reach through
+///    the L computed so far, a sparse triangular solve in that
+///    topological order, and threshold partial pivoting that keeps the
+///    diagonal when |diag| >= kPivotTolerance * column max.  Rows with a
+///    structurally zero diagonal (MNA voltage-source branch rows) simply
+///    pivot off the diagonal.
+///  * Refactorization: a later factor() of the same pattern keeps the
+///    pivot sequence and the L/U patterns and recomputes values only —
+///    no search, no heap allocation.  Every pivot is re-checked against
+///    the same threshold; if one falls below it, the matrix is factored
+///    again with partial pivoting on the same ordering and the event
+///    counts one pivotFallbacks().
 ///
-/// Correctness contract: `factor()` + `solve()` produce solutions that are
-/// bit-identical to constructing a fresh `SparseLu` each time.  The numeric
-/// refactorization replays the identical elimination arithmetic in the
-/// identical order, and it re-runs the pivot *search* each call: if the
-/// values have drifted enough that partial pivoting would pick a different
-/// row (or the assembled pattern changed), the cache is discarded and a
-/// full symbolic factorization runs instead — so pivot quality is never
-/// sacrificed for speed.
+/// Contract: a refactorization is bit-identical to a full factorization
+/// of the same matrix that ends with the same pivot sequence — both apply
+/// the same updates in the same (topological) order.
 class SparseLuFactorizer {
  public:
+  /// A candidate keeps the diagonal (or, on refactorization, its cached
+  /// pivot) while |pivot| >= kPivotTolerance * max |candidate| in its column.
+  static constexpr double kPivotTolerance = 1e-3;
+
   SparseLuFactorizer() = default;
 
-  /// Factor `a`, reusing the cached structure when possible.
-  /// Throws NumericalError when the matrix is numerically singular.
-  void factor(const SparseMatrix& a);
-
-  /// Factor a CSR matrix with external value storage (compiled stamp
-  /// pipeline).  The CSR pattern of a frozen netlist never changes, so
-  /// after the first call every factorization takes the fast
-  /// position-exact value-scatter path — no heap allocation unless the
-  /// pivot sequence drifts and a full symbolic pass must rerun.
+  /// Factor `a`.  The first call for a pattern orders it and runs a full
+  /// factorization; later calls with the same pattern refactor in place.
+  /// Throws NumericalError (naming the elimination step) when the matrix
+  /// is numerically singular.
   void factor(const CsrView& a);
+
+  /// Drop the cached symbolic analysis: the next factor() orders the
+  /// pattern afresh and runs a full factorization.
+  void reset();
 
   /// Solve A x = b with the most recent factorization.
   std::vector<double> solve(std::span<const double> b) const;
-  /// Allocation-free overload: x must be sized n.
+  /// Allocation-free overload: x must be sized n and must not alias b.
   void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Multi-RHS solve over `nrhs` column-contiguous right-hand sides (see
-  /// DenseLuFactorizer::solveMulti).  One traversal of the cached factor
-  /// serves all columns; per-column results are bit-identical to solve().
+  /// DenseLuFactorizer::solveMulti).  One traversal of the factor serves
+  /// all columns; per-column results are bit-identical to solve().
   void solveMulti(std::span<const double> b, std::span<double> x,
                   std::size_t nrhs) const;
 
   bool factored() const { return factored_; }
 
-  /// Diagnostics: how many full (symbolic + numeric) factorizations and
-  /// how many structure-reusing numeric refactorizations have run.
+  /// Entries of the current factor: strictly-lower L plus U with its
+  /// diagonal (L's unit diagonal is implicit).
+  std::size_t nnzLu() const { return lIdx_.size() + uIdx_.size() + n_; }
+
+  /// Diagnostics: full (pivot-searching) factorizations, value-only
+  /// refactorizations, and refactorizations abandoned because a cached
+  /// pivot fell below the threshold (each one also counts a full
+  /// factorization).
   long fullFactorizations() const { return fullFactorizations_; }
   long numericRefactorizations() const { return numericRefactorizations_; }
-  /// Numeric refactorizations abandoned because partial pivoting chose a
-  /// different row than the cached sequence (each one also counts a full
-  /// factorization).
   long pivotFallbacks() const { return pivotFallbacks_; }
 
  private:
-  bool loadValues(const SparseMatrix& a);
-  bool loadValues(const CsrView& a);
-  bool refactorNumeric();
-  void factorFull(const SparseMatrix& a);
+  bool samePattern(const CsrView& a) const;
+  void analyse(const CsrView& a);
+  void factorFull(std::span<const double> values);
+  bool refactor(std::span<const double> values);
+  std::size_t reach(std::size_t root, std::size_t k, std::size_t top);
 
   std::size_t n_ = 0;
+  bool analysed_ = false;
   bool factored_ = false;
-  bool structureValid_ = false;
 
-  // Cached structure, one entry per original row r:
-  //  origCols_[r]  — assembled (pre-fill) pattern, ascending;
-  //  fullCols_[r]  — assembled + fill pattern, ascending;
-  //  origPos_[r]   — position of origCols_[r][k] inside fullCols_[r].
-  std::vector<std::vector<std::size_t>> origCols_;
-  std::vector<std::vector<std::size_t>> fullCols_;
-  std::vector<std::vector<std::size_t>> origPos_;
-  std::vector<std::size_t> cachedPerm_;  ///< pivot sequence of the cache
+  // Symbolic analysis.  B = A(order_, order_): B's row/column i is A's
+  // row/column order_[i].  B is held column-wise: column k owns entries
+  // [bColPtr_[k], bColPtr_[k+1]) with B row bRow_[p], whose value is
+  // CsrView::values[bSrc_[p]].
+  std::vector<std::size_t> patRowPtr_;  ///< the analysed CSR pattern
+  std::vector<std::size_t> patColIdx_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> bColPtr_;
+  std::vector<std::size_t> bRow_;
+  std::vector<std::size_t> bSrc_;
 
-  // Current factorization (in-place LU over the full pattern): vals_[r][j]
-  // holds, for column fullCols_[r][j], the L multiplier (col < pivot step
-  // of row r) or the U value (col >= pivot step).
-  std::vector<std::vector<double>> vals_;
-  std::vector<std::size_t> perm_;  ///< position k -> original row
-  /// Scratch for refactorNumeric's position -> row table; a member so a
-  /// structure-reusing refactorization performs no heap allocation.
-  std::vector<std::size_t> rowOfScratch_;
+  // Factor P·B = L·U.  Position k is the k-th pivot; the dense work and
+  // solution vectors index position k at label order_[k], so a solve ends
+  // in A's own unknown numbering with no final permutation.
+  std::vector<std::size_t> pinv_;      ///< B row -> pivot position
+  std::vector<std::size_t> lColPtr_;   ///< L column k: [lColPtr_[k], ..)
+  std::vector<std::size_t> lIdx_;      ///< L row labels
+  std::vector<double> lVal_;
+  std::vector<std::size_t> uColPtr_;   ///< U column k, strictly upper part,
+  std::vector<std::size_t> uIdx_;      ///< row positions in update order
+  std::vector<double> uVal_;
+  std::vector<double> uDiag_;
+  std::vector<std::size_t> bLab_;      ///< label each B entry scatters to
+  std::vector<std::size_t> rhsSrc_;    ///< b index feeding position k
+
+  // Workspace (sized n at analysis; all-zero x_ between factorizations).
+  std::vector<double> x_;
+  std::vector<std::size_t> flag_;
+  std::vector<std::size_t> pattern_;
+  std::vector<std::size_t> stack_;
+  std::vector<std::size_t> childPos_;
 
   long fullFactorizations_ = 0;
   long numericRefactorizations_ = 0;
@@ -251,13 +287,10 @@ class SparseLuFactorizer {
 };
 
 /// Facade unifying the direct solvers behind one interface: dense LU below
-/// the crossover, sparse LU above it, with or without symbolic-structure
-/// reuse.  One instance owns the reusable factorizers, so callers (the
-/// compiled Assembler and the MnaSystem test oracle alike) get structure
-/// caching and allocation-free refactorization without knowing which
-/// backend runs.
-/// Every overload is bit-identical to calling the underlying factorizer
-/// directly.
+/// the crossover, sparse LU above it.  One instance owns the reusable
+/// factorizers, so callers (the compiled Assembler and the MnaSystem test
+/// oracle alike) get pattern caching and allocation-free refactorization
+/// without knowing which backend runs.
 class LinearSolver {
  public:
   LinearSolver(std::size_t n, bool sparse) : n_(n), sparse_(sparse) {}
@@ -265,15 +298,14 @@ class LinearSolver {
   std::size_t size() const { return n_; }
   bool sparse() const { return sparse_; }
 
-  /// Solve A x = b for row-map assembly (MnaSystem oracle).  With
-  /// reuseStructure the cached-pattern factorizer runs; without it a
-  /// fresh SparseLu factors from scratch (diagnostic A/B path).
+  /// Solve A x = b for row-map assembly (MnaSystem oracle): one CSR
+  /// conversion, then the same sparse factorizer as the CSR overload.
   void solve(const SparseMatrix& a, std::span<const double> b,
-             std::vector<double>& x, bool reuseStructure);
+             std::vector<double>& x);
 
   /// Solve A x = b for dense assembly.  The reusable-workspace dense LU
-  /// always runs (it is bit-identical to a fresh DenseLu and allocates
-  /// nothing after the first call), so reuseStructure is irrelevant here.
+  /// is bit-identical to a fresh DenseLu and allocates nothing after the
+  /// first call.
   void solve(const DenseMatrix& a, std::span<const double> b,
              std::vector<double>& x);
   /// Same, for an n x n row-major matrix in external storage.
@@ -281,21 +313,14 @@ class LinearSolver {
              std::vector<double>& x);
 
   /// Solve A x = b for CSR assembly with external values (compiled path).
-  /// With reuseStructure the steady state performs no heap allocation;
-  /// without it the matrix is copied into a row-map and factored fresh.
+  /// With reuseStructure the ordering and pivot sequence carry over from
+  /// the previous call and the steady state performs no heap allocation;
+  /// without it the cached analysis is dropped first, so every call
+  /// orders and factors from scratch (A/B diagnostics).
   void solve(const CsrView& a, std::span<const double> b,
              std::vector<double>& x, bool reuseStructure);
 
-  /// Multi-RHS variants: factor A once and solve `nrhs` column-contiguous
-  /// right-hand sides in one blocked substitution pass.  Each column is
-  /// bit-identical to the corresponding single-RHS solve() call.
-  void solveMulti(const CsrView& a, std::span<const double> b,
-                  std::vector<double>& x, std::size_t nrhs,
-                  bool reuseStructure);
-  void solveMulti(std::span<const double> rowMajor, std::span<const double> b,
-                  std::vector<double>& x, std::size_t nrhs);
-
-  /// Structure-cache diagnostics (zeros on the dense path).
+  /// Sparse-LU diagnostics (zeros on the dense path).
   const SparseLuFactorizer& sparseFactorizer() const { return sparseFactor_; }
 
  private:
@@ -303,6 +328,7 @@ class LinearSolver {
   bool sparse_;
   SparseLuFactorizer sparseFactor_;
   DenseLuFactorizer denseFactor_;
+  CsrMatrix csrScratch_;  ///< SparseMatrix -> CSR conversion target
 };
 
 /// Infinity norm of a vector.

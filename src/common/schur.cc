@@ -10,7 +10,7 @@ namespace fefet::linalg {
 
 /// Per-block state: the local CSR pattern with its gather program into the
 /// global CSR values, the border coupling triplets (B above, C left of the
-/// corner), the LU factorizer (dense or sparse by size), the cached value
+/// corner), the sparse LU factorizer, the cached value
 /// copies the collapse state machine compares against, and per-solve
 /// scratch.
 struct SchurSolver::Block {
@@ -46,14 +46,11 @@ struct SchurSolver::Block {
   std::vector<double> cachedB_;
   std::vector<double> cachedC_;
 
-  bool dense = false;
   bool factored = false;
   bool collapsed = false;
   int quiet = 0;
 
-  SparseLuFactorizer sparseFac_;
-  DenseLuFactorizer denseFac_;
-  std::vector<double> denseScratch_;  ///< nb*nb, dense blocks only
+  SparseLuFactorizer lu_;
 
   // Per-solve results consumed by the serial border phase.
   std::vector<double> y_;   ///< A_b^{-1} f_b
@@ -62,21 +59,6 @@ struct SchurSolver::Block {
   int nb() const { return static_cast<int>(rows_.size()); }
   int kb() const { return static_cast<int>(bcols_.size()); }
 
-  void factorSolve(std::span<const double> b, std::span<double> x) const {
-    if (dense) {
-      denseFac_.solve(b, x);
-    } else {
-      sparseFac_.solve(b, x);
-    }
-  }
-  void factorSolveMulti(std::span<const double> b, std::span<double> x,
-                        std::size_t nrhs) const {
-    if (dense) {
-      denseFac_.solveMulti(b, x, nrhs);
-    } else {
-      sparseFac_.solveMulti(b, x, nrhs);
-    }
-  }
 };
 
 namespace {
@@ -151,7 +133,6 @@ SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
     auto blk = std::make_unique<Block>();
     blk->rows_ = partition.blocks[b];
     const int nb = blk->nb();
-    blk->dense = nb <= options_.denseBlockLimit;
 
     // First pass: discover which border columns the block touches (from
     // both B and C entries) so bcols_ indexes stay compact.
@@ -234,10 +215,6 @@ SchurSolver::SchurSolver(std::span<const std::size_t> rowPtr,
     blk->valsC_.resize(blk->cEntries_.size());
     blk->y_.resize(static_cast<std::size_t>(nb));
     blk->gy_.resize(static_cast<std::size_t>(blk->kb()));
-    if (blk->dense) {
-      blk->denseScratch_.resize(static_cast<std::size_t>(nb) *
-                                static_cast<std::size_t>(nb));
-    }
     blocks_.push_back(std::move(blk));
   }
 
@@ -289,23 +266,8 @@ void SchurSolver::gatherBlockValues(Block& blk, const CsrView& a) {
 }
 
 void SchurSolver::factorBlock(Block& blk) {
-  const int nb = blk.nb();
-  if (blk.dense) {
-    std::fill(blk.denseScratch_.begin(), blk.denseScratch_.end(), 0.0);
-    for (int li = 0; li < nb; ++li) {
-      for (std::size_t p = blk.rowPtr_[static_cast<std::size_t>(li)];
-           p < blk.rowPtr_[static_cast<std::size_t>(li) + 1]; ++p) {
-        blk.denseScratch_[static_cast<std::size_t>(li) *
-                              static_cast<std::size_t>(nb) +
-                          blk.colIdx_[p]] += blk.valsA_[p];
-      }
-    }
-    blk.denseFac_.factor(static_cast<std::size_t>(nb), blk.denseScratch_);
-  } else {
-    const CsrView view{static_cast<std::size_t>(nb), blk.rowPtr_,
-                       blk.colIdx_, blk.valsA_};
-    blk.sparseFac_.factor(view);
-  }
+  blk.lu_.factor({static_cast<std::size_t>(blk.nb()), blk.rowPtr_,
+                  blk.colIdx_, blk.valsA_});
   blk.factored = true;
 }
 
@@ -325,7 +287,7 @@ void SchurSolver::computeContribution(const Block& blk,
         bVals[i];
   }
   std::vector<double> x(nb * kb);
-  blk.factorSolveMulti(bd, x, kb);
+  blk.lu_.solveMulti(bd, x, kb);
   // contrib(i, j) = sum_lj C(i, lj) * X(lj, j).
   for (std::size_t j = 0; j < kb; ++j) {
     const double* xc = x.data() + j * nb;
@@ -439,7 +401,7 @@ void SchurSolver::updateBlock(Block& blk, const CsrView& a,
     fb[static_cast<std::size_t>(li)] =
         f[static_cast<std::size_t>(blk.rows_[static_cast<std::size_t>(li)])];
   }
-  blk.factorSolve(fb, blk.y_);
+  blk.lu_.solve(fb, blk.y_);
   std::fill(blk.gy_.begin(), blk.gy_.end(), 0.0);
   for (std::size_t i = 0; i < blk.cEntries_.size(); ++i) {
     const auto& e = blk.cEntries_[i];
@@ -461,7 +423,7 @@ void SchurSolver::backSubstitute(Block& blk, std::span<const double> xBorder,
         xBorder[static_cast<std::size_t>(blk.bcols_[static_cast<std::size_t>(e.bk)])];
   }
   std::vector<double> u(static_cast<std::size_t>(nb));
-  blk.factorSolve(t, u);
+  blk.lu_.solve(t, u);
   for (int li = 0; li < nb; ++li) {
     x[static_cast<std::size_t>(blk.rows_[static_cast<std::size_t>(li)])] =
         blk.y_[static_cast<std::size_t>(li)] - u[static_cast<std::size_t>(li)];

@@ -61,10 +61,6 @@ struct SchurOptions {
   double collapseRelTol = 1e-5;
   /// Consecutive quiet evaluations before a block collapses.
   int collapseQuietEvals = 3;
-  /// Blocks with at most this many rows factor through dense LU (faster
-  /// than the map-based sparse path at cell scale); larger blocks use the
-  /// structure-caching sparse factorizer.
-  int denseBlockLimit = 96;
 };
 
 /// Cumulative solver telemetry (monotone counters plus the current

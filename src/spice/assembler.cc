@@ -1,6 +1,7 @@
 #include "spice/assembler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "common/error.h"
@@ -24,6 +25,23 @@ AssemblerTelemetry& assemblerTelemetry() {
       obs::Metrics::counter("fefet.assembler.assemblies"),
       obs::Metrics::counter("fefet.assembler.stamps"),
       obs::Metrics::counter("fefet.assembler.pattern_reuse_hits")};
+  return t;
+}
+
+/// Flat sparse-LU churn, copied from the factorizer's own counters after
+/// each solve — no clock reads on the refactorization path.
+struct LuTelemetry {
+  obs::Gauge& nnzLu;
+  obs::Counter& fullFactorizations;
+  obs::Counter& refactorizations;
+  obs::Counter& pivotFallbacks;
+};
+
+LuTelemetry& luTelemetry() {
+  static LuTelemetry t{obs::Metrics::gauge("fefet.lu.nnz_lu"),
+                       obs::Metrics::counter("fefet.lu.full_factorizations"),
+                       obs::Metrics::counter("fefet.lu.refactorizations"),
+                       obs::Metrics::counter("fefet.lu.pivot_fallbacks")};
   return t;
 }
 
@@ -135,6 +153,11 @@ void Assembler::solveForUpdate(std::vector<double>& dx,
   for (std::size_t i = 0; i < n; ++i) rhs_[i] = -res[i];
 
   if (sparseStorage_) {
+    // Publish on the way out, also when a singular matrix throws.
+    struct Publish {
+      Assembler* self;
+      ~Publish() { self->publishLuTelemetry(); }
+    } publish{this};
     solver_.solve(csr(), rhs_, dx, reuseLuStructure);
     return;
   }
@@ -151,6 +174,25 @@ void Assembler::solveForUpdate(std::vector<double>& dx,
     }
   }
   solver_.solve(std::span<const double>(a, n * n), rhs_, dx);
+}
+
+void Assembler::publishLuTelemetry() {
+  const linalg::SparseLuFactorizer& lu = solver_.sparseFactorizer();
+  const LuCounts now{lu.fullFactorizations(), lu.numericRefactorizations(),
+                     lu.pivotFallbacks()};
+  if (obs::Metrics::enabled()) {
+    LuTelemetry& t = luTelemetry();
+    const auto publish = [](obs::Counter& c, long delta) {
+      if (delta > 0) c.add(static_cast<std::uint64_t>(delta));
+    };
+    publish(t.fullFactorizations, now.full - publishedLu_.full);
+    publish(t.refactorizations, now.refactor - publishedLu_.refactor);
+    publish(t.pivotFallbacks, now.fallbacks - publishedLu_.fallbacks);
+    if (now.full != publishedLu_.full && lu.factored()) {
+      t.nnzLu.set(static_cast<double>(lu.nnzLu()));
+    }
+  }
+  publishedLu_ = now;
 }
 
 std::span<const double> Assembler::denseValues() const {

@@ -45,7 +45,8 @@ class Assembler {
                 double gmin, bool /*unused*/ = false);
 
   /// Solve J dx = -F into dx (resized to the system size).  Throws
-  /// NumericalError when the Jacobian is singular.
+  /// NumericalError when the Jacobian is singular.  On the sparse path
+  /// the LU's counters are published as fefet.lu.* metrics.
   void solveForUpdate(std::vector<double>& dx, bool reuseLuStructure);
 
   // Unpadded views of the last assembly (row i = unknown i).
@@ -73,6 +74,14 @@ class Assembler {
   std::span<const double> denseValues() const;
 
  private:
+  /// Factorizer counters already added to the fefet.lu.* metrics.
+  struct LuCounts {
+    long full = 0;
+    long refactor = 0;
+    long fallbacks = 0;
+  };
+  void publishLuTelemetry();
+
   const StampPattern& pattern_;
   bool sparseStorage_;
   int n_;
@@ -92,6 +101,7 @@ class Assembler {
   /// least once — every assemble after that is a pattern-reuse hit for
   /// the fefet.assembler.pattern_reuse_hits counter.
   std::array<bool, kStampModeCount> modeUsed_{};
+  LuCounts publishedLu_;
 };
 
 }  // namespace fefet::spice

@@ -69,7 +69,7 @@ void MnaSystem::addGmin(double gmin, const SystemView& view, int nodeCount) {
 void MnaSystem::solveForUpdate(std::vector<double>& dx) {
   for (std::size_t i = 0; i < rhs_.size(); ++i) rhs_[i] = -residual_[i];
   if (useSparse_) {
-    solver_.solve(sparseM_, rhs_, dx, /*reuseStructure=*/true);
+    solver_.solve(sparseM_, rhs_, dx);
     return;
   }
   solver_.solve(dense_, rhs_, dx);

@@ -1,7 +1,8 @@
 // mna.h — per-entry virtual-dispatch assembly of the MNA Jacobian/residual.
 //
-// Small systems use dense LU; larger systems (memory arrays) switch to the
-// sparse row-map LU — both behind the common linalg::LinearSolver facade.
+// Small systems use dense LU; larger systems (memory arrays) assemble into
+// a row-map SparseMatrix that is converted to CSR for the sparse LU — both
+// behind the common linalg::LinearSolver facade.
 // The assembler also tracks a per-row magnitude scale (sum of |residual
 // contributions|) so Newton can test convergence relative to the size of
 // the currents actually flowing in each node.
@@ -35,8 +36,8 @@ class MnaSystem final : public Stamper {
   void addGmin(double gmin, const SystemView& view, int nodeCount);
 
   /// Solve J dx = -F into dx.  Throws NumericalError if singular.  The
-  /// sparse path reuses the cached LU structure across solves (the MNA
-  /// pattern of a frozen netlist is fixed).
+  /// sparse path reuses the ordering and pivot sequence across solves
+  /// (the MNA pattern of a frozen netlist is fixed).
   void solveForUpdate(std::vector<double>& dx);
 
   const std::vector<double>& residual() const { return residual_; }

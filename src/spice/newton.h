@@ -15,12 +15,11 @@
 namespace fefet::spice {
 
 /// Dense -> sparse crossover: systems with more unknowns than this use the
-/// sparse matrix + sparse LU; at or below it dense LU wins.  MNA rows only
-/// carry a handful of entries, but dense factorization of a small system
-/// still beats the pointer-chasing of the sparse path; the value was
-/// picked from solver benchmarks (see bench_perf_solver / bench_assembly)
-/// around where array netlists overtake cell netlists.
-inline constexpr int kDenseToSparseCrossover = 160;
+/// sparse LU, the rest dense LU.  With the KLU-style sparse LU the sparse
+/// solve measured faster from 6 unknowns up (DESIGN.md §6.2), so the
+/// dense path is kept only for systems no larger than one 2T cell (11
+/// unknowns): cell studies and their golden data keep dense numerics.
+inline constexpr int kDenseToSparseCrossover = 11;
 
 /// Session default for NewtonOptions::useHierarchicalSolve: false unless
 /// the environment sets FEFET_HIERARCHICAL_SOLVE=1 (opt-in — the flat
@@ -39,10 +38,10 @@ struct NewtonOptions {
   double maxVoltageStep = 0.6;    ///< [V] damping clamp per iteration
   double maxAuxStep = 0.1;        ///< damping clamp on aux unknowns
   double gmin = 1e-12;            ///< [S] node-to-ground regularization
-  /// Cache the sparse LU symbolic structure (fill pattern + pivot order)
-  /// across Newton iterations and timesteps, refactoring numerically only.
-  /// Bit-identical to the uncached path (pivoting is re-verified every
-  /// solve); off exists for A/B testing and diagnostics.
+  /// Keep the sparse LU's ordering, pivot sequence and L/U patterns
+  /// across Newton iterations and timesteps, recomputing values only (a
+  /// pivot that falls below threshold re-pivots).  Off drops the cached
+  /// analysis before every solve, for A/B testing and diagnostics.
   bool reuseLuStructure = true;
   /// Ignored: kept only so perfbench/layers.cc, which passes it to
   /// Assembler::assemble, still builds.  Nothing else may set or read it.
@@ -108,8 +107,7 @@ class NewtonSolver {
   /// (option off or no useful partition).
   const HierEngine* hier() const { return hier_.get(); }
 
-  /// Sparse-LU structure-cache diagnostics of the flat solve (zeros on
-  /// the dense path).
+  /// Sparse-LU diagnostics of the flat solve (zeros on the dense path).
   const linalg::SparseLuFactorizer& sparseFactorizer() const {
     return assembler_.solver().sparseFactorizer();
   }

@@ -1,6 +1,7 @@
 // Tests of the 2T FEFET memory cell (paper §4, Figs. 5-6): write, read,
 // hold, non-destructive reads, the 550 ps / 0.68 V anchor and energies.
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include "core/cell2t.h"
@@ -153,29 +154,33 @@ TEST(Cell2T, RequiresNonvolatileDevice) {
 
 // Property sweep: both polarities across write voltages succeed above the
 // wall and the latency decreases with voltage.
+// gtest names each case by a byte dump of its parameter, so the struct
+// must have no padding: padding bytes are uninitialised and would give
+// the cases a different name on every run.  Hence a 64-bit flag.
 struct WriteCase {
-  bool one;
+  std::uint64_t one;  ///< 1 = write a one, 0 = write a zero
   double voltage;
 };
 class WriteMatrix : public ::testing::TestWithParam<WriteCase> {};
 
 TEST_P(WriteMatrix, CompletesWithinTwoNanoseconds) {
   Cell2T cell(defaultConfig());
-  const auto [one, voltage] = GetParam();
+  const bool one = GetParam().one != 0;
+  const double voltage = GetParam().voltage;
   cell.setStoredBit(!one);
   const auto r = cell.write(one, 2e-9, voltage);
   EXPECT_EQ(r.bitAfter, one) << (one ? "+" : "-") << voltage;
 }
 
 INSTANTIATE_TEST_SUITE_P(Voltages, WriteMatrix,
-                         ::testing::Values(WriteCase{true, 0.60},
-                                           WriteCase{true, 0.68},
-                                           WriteCase{true, 0.80},
-                                           WriteCase{true, 1.00},
-                                           WriteCase{false, 0.60},
-                                           WriteCase{false, 0.68},
-                                           WriteCase{false, 0.80},
-                                           WriteCase{false, 1.00}));
+                         ::testing::Values(WriteCase{1, 0.60},
+                                           WriteCase{1, 0.68},
+                                           WriteCase{1, 0.80},
+                                           WriteCase{1, 1.00},
+                                           WriteCase{0, 0.60},
+                                           WriteCase{0, 0.68},
+                                           WriteCase{0, 0.80},
+                                           WriteCase{0, 1.00}));
 
 }  // namespace
 }  // namespace fefet::core

@@ -145,11 +145,11 @@ TEST(SchurSolver, MatchesDenseLuAcrossValueDrifts) {
 }
 
 TEST(SchurSolver, SparseBlockPathMatchesDense) {
-  // Blocks above denseBlockLimit route through the sparse factorizer.
+  // Every block factors through the sparse LU; the result matches a
+  // dense LU of the whole system.
   auto sys = makeSystem({12, 15}, 4, /*seed=*/7);
   linalg::SchurOptions options;
   options.enableCollapse = false;
-  options.denseBlockLimit = 8;  // force the sparse block path
   linalg::SchurSolver solver(sys.rowPtr, sys.colIdx, sys.part, options);
   const auto f = rhs(sys.n, 5);
   std::vector<double> x(static_cast<std::size_t>(sys.n));

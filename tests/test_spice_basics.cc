@@ -259,7 +259,7 @@ TEST(Waveform, ValueAtClampsAtBothEndsAndOnSingleSamples) {
 }
 
 // Property: a long RC ladder solves identically via the dense and sparse
-// paths (the solver switches representation at ~160 unknowns).
+// paths (the solver switches representation above 11 unknowns).
 class LadderSize : public ::testing::TestWithParam<int> {};
 
 TEST_P(LadderSize, DcLadderHasLinearVoltageProfile) {
