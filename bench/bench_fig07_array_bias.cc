@@ -1,20 +1,14 @@
 // Reproduces paper Fig. 7 + Table 1 on a generated N x M electrical array:
 // selective writes/reads under the proposed bias scheme, unaccessed-row
 // isolation, disturb and sneak-current quantification — through the deck-
-// generated core::ArrayNetlist, so the same binary exercises the flat and
-// the hierarchical (BBD/Schur, --hier=1) solve paths at any --rows/--cols.
+// generated core::ArrayNetlist at any --rows/--cols.
 //
-// Modes (composable with --rows/--cols/--threads/--writes):
-//   default    checkerboard-or-strided writes, hold, read-back; one PERF
-//              line with the solve split (fefet.transient vs fefet.hier
-//              counters), the collapsed-block ratio and the half-select
-//              worst-case disturb margin, plus the REPORT line carrying
-//              the average write energy (obs::RunReport).
-//   --parity   run the identical op schedule hierarchically AND flat and
-//              gate on the DESIGN.md §6.7 tolerances (1e-3 of the memory
-//              window on polarizations, 0.5% on the read current).
-//   --speedup  time the same transient hold flat vs hierarchically and
-//              report the solve-path speedup (check.sh stage 8 smoke).
+// Runs checkerboard-or-strided writes (--writes=K sets the count), a 1 ns
+// hold and a read-back of every written cell, then prints one REPORT line
+// (obs::RunReport) with the wall clock, Newton iterations, worst half-
+// select disturb, worst sneak current and average write energy.  Exits 0
+// only when every write and read-back is correct and the worst disturb on
+// an unaccessed cell stays under 5% of the memory window.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -27,9 +21,6 @@
 #include "bench_util.h"
 #include "core/array_netlist.h"
 #include "core/bias_scheme.h"
-#include "obs/metrics.h"
-#include "spice/hier_engine.h"
-#include "spice/newton.h"
 
 using namespace fefet;
 
@@ -38,11 +29,7 @@ namespace {
 struct Cli {
   int rows = 2;
   int cols = 3;
-  int hier = -1;  ///< -1 = NewtonOptions env default, 0/1 = forced
-  int threads = 1;
   int writes = 0;  ///< 0 = auto (checkerboard when small, 8 strided else)
-  bool parity = false;
-  bool speedup = false;
 };
 
 Cli parseCli(int argc, char** argv) {
@@ -57,21 +44,12 @@ Cli parseCli(int argc, char** argv) {
       cli.rows = std::atoi(v);
     } else if (const char* v = valueOf(arg, "--cols=")) {
       cli.cols = std::atoi(v);
-    } else if (const char* v = valueOf(arg, "--hier=")) {
-      cli.hier = std::atoi(v);
-    } else if (const char* v = valueOf(arg, "--threads=")) {
-      cli.threads = std::atoi(v);
     } else if (const char* v = valueOf(arg, "--writes=")) {
       cli.writes = std::atoi(v);
-    } else if (std::strcmp(arg, "--parity") == 0) {
-      cli.parity = true;
-    } else if (std::strcmp(arg, "--speedup") == 0) {
-      cli.speedup = true;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--rows=N] [--cols=M] "
-                   "[--hier=0|1] [--threads=N] [--writes=K] [--parity] "
-                   "[--speedup]\n",
+                   "[--writes=K]\n",
                    arg, argv[0]);
       std::exit(2);
     }
@@ -83,12 +61,10 @@ Cli parseCli(int argc, char** argv) {
   return cli;
 }
 
-core::ArrayNetlistConfig makeConfig(const Cli& cli, bool hierarchical) {
+core::ArrayNetlistConfig makeConfig(const Cli& cli) {
   core::ArrayNetlistConfig config;
   config.rows = cli.rows;
   config.cols = cli.cols;
-  config.newton.useHierarchicalSolve = hierarchical;
-  config.newton.hierThreads = cli.threads;
   return config;
 }
 
@@ -125,7 +101,7 @@ struct RunOutcome {
   double worstSneak = 0.0;
   double totalEnergy = 0.0;
   double wallSeconds = 0.0;
-  double readCurrent = 0.0;  ///< last read-back current
+  long newtonIterations = 0;
 };
 
 /// Execute the schedule (writes, 1 ns hold, read-back of every written
@@ -141,15 +117,16 @@ RunOutcome runSchedule(core::ArrayNetlist& array,
     out.worstDisturb = std::max(out.worstDisturb, res.maxUnaccessedDisturb);
     out.worstSneak = std::max(out.worstSneak, res.maxSneakCurrent);
     out.totalEnergy += res.totalEnergy;
+    out.newtonIterations += res.stats.newtonIterations;
     ++out.writes;
     expected[{op.row, op.col}] = op.bit;
   }
-  array.hold(1e-9);
+  out.newtonIterations += array.hold(1e-9).stats.newtonIterations;
   for (const auto& [cell, bit] : expected) {
     const auto res = array.readBit(cell.first, cell.second);
     out.ok = out.ok && res.ok && res.bitRead == bit;
     out.worstSneak = std::max(out.worstSneak, res.maxSneakCurrent);
-    out.readCurrent = res.readCurrent;
+    out.newtonIterations += res.stats.newtonIterations;
   }
   out.wallSeconds = timer.seconds();
   return out;
@@ -166,67 +143,6 @@ void printState(const core::ArrayNetlist& arr, const char* label) {
   }
 }
 
-/// DESIGN.md §6.7 parity gate: identical schedule hierarchically and flat.
-int runParity(const Cli& cli, const std::vector<WriteOp>& ops) {
-  bench::banner("hierarchical-vs-flat parity gate");
-  core::ArrayNetlist hier(makeConfig(cli, /*hierarchical=*/true));
-  core::ArrayNetlist flat(makeConfig(cli, /*hierarchical=*/false));
-  const auto oh = runSchedule(hier, ops);
-  const auto of = runSchedule(flat, ops);
-
-  const double window = std::abs(hier.pOn() - hier.pOff());
-  const auto ph = hier.polarizations();
-  const auto pf = flat.polarizations();
-  double worstDp = 0.0;
-  bool bitsMatch = true;
-  for (int r = 0; r < cli.rows; ++r) {
-    for (int c = 0; c < cli.cols; ++c) {
-      worstDp = std::max(worstDp,
-                         std::abs(ph[static_cast<std::size_t>(r)]
-                                    [static_cast<std::size_t>(c)] -
-                                  pf[static_cast<std::size_t>(r)]
-                                    [static_cast<std::size_t>(c)]));
-      bitsMatch = bitsMatch && hier.bitAt(r, c) == flat.bitAt(r, c);
-    }
-  }
-  const double readRel =
-      std::abs(oh.readCurrent - of.readCurrent) /
-      std::max(std::abs(of.readCurrent), 1e-30);
-  const bool pass = oh.ok && of.ok && bitsMatch &&
-                    worstDp <= 1e-3 * window && readRel <= 5e-3;
-  std::printf(
-      "PERF {\"bench\":\"fig07_array_bias\",\"mode\":\"parity\","
-      "\"rows\":%d,\"cols\":%d,\"writes\":%d,\"dp_worst\":%.3e,"
-      "\"dp_tol\":%.3e,\"read_rel\":%.3e,\"read_tol\":5e-3,"
-      "\"bits_match\":%s,\"pass\":%s,\"hier_s\":%.3f,\"flat_s\":%.3f}\n",
-      cli.rows, cli.cols, static_cast<int>(ops.size()), worstDp,
-      1e-3 * window, readRel, bitsMatch ? "true" : "false",
-      pass ? "true" : "false", oh.wallSeconds, of.wallSeconds);
-  return pass ? 0 : 1;
-}
-
-/// check.sh stage 8 smoke: the same short transient flat vs hierarchical.
-int runSpeedup(const Cli& cli) {
-  bench::banner("hierarchical solve speedup smoke");
-  core::ArrayNetlist hier(makeConfig(cli, /*hierarchical=*/true));
-  core::ArrayNetlist flat(makeConfig(cli, /*hierarchical=*/false));
-  // One short op on each engine, the same transient for both.
-  const double holdTime = 0.3e-9;
-  const bench::WallTimer tf;
-  flat.hold(holdTime);
-  const double flatSeconds = tf.seconds();
-  const bench::WallTimer th;
-  hier.hold(holdTime);
-  const double hierSeconds = th.seconds();
-  const double speedup = hierSeconds > 0.0 ? flatSeconds / hierSeconds : 0.0;
-  std::printf(
-      "PERF {\"bench\":\"fig07_array_bias\",\"mode\":\"speedup\","
-      "\"rows\":%d,\"cols\":%d,\"threads\":%d,\"flat_s\":%.3f,"
-      "\"hier_s\":%.3f,\"speedup\":%.2f}\n",
-      cli.rows, cli.cols, cli.threads, flatSeconds, hierSeconds, speedup);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,25 +153,14 @@ int main(int argc, char** argv) {
   std::cout << core::describeBiasTable(levels);
 
   const auto ops = makeSchedule(cli);
-  if (cli.parity) return runParity(cli, ops);
-  if (cli.speedup) return runSpeedup(cli);
-
-  const bool hierarchical =
-      cli.hier >= 0 ? cli.hier != 0 : spice::defaultUseHierarchicalSolve();
   bench::TelemetrySession telemetry("fig07_array_bias");
   char title[128];
-  std::snprintf(title, sizeof(title),
-                "Fig. 7: %dx%d array operations (%s solve)", cli.rows,
-                cli.cols, hierarchical ? "hierarchical" : "flat");
+  std::snprintf(title, sizeof(title), "Fig. 7: %dx%d array operations",
+                cli.rows, cli.cols);
   bench::banner(title);
 
-  core::ArrayNetlist array(makeConfig(cli, hierarchical));
-  const std::uint64_t newtonBefore =
-      obs::Metrics::counter("fefet.transient.newton_iterations").total();
+  core::ArrayNetlist array(makeConfig(cli));
   const auto outcome = runSchedule(array, ops);
-  const std::uint64_t newtonIters =
-      obs::Metrics::counter("fefet.transient.newton_iterations").total() -
-      newtonBefore;
 
   if (cli.rows * cli.cols <= 36) {
     printState(array, "array state after writes + read-back:");
@@ -264,7 +169,9 @@ int main(int argc, char** argv) {
   const double disturbFrac = window > 0.0 ? outcome.worstDisturb / window : 0.0;
   // Half-select budget: Table 1's sneak-path-free claim, gated at 5% of
   // the memory window (the margin is how much of the budget is unused).
+  const bool disturbOk = disturbFrac < 0.05;
   const double disturbMargin = 1.0 - disturbFrac / 0.05;
+  const bool ok = outcome.ok && disturbOk;
   const double avgWriteEnergy =
       outcome.writes > 0 ? outcome.totalEnergy / outcome.writes : 0.0;
   std::printf("worst unaccessed-cell disturb: %.4g C/m^2 (%.3g%% of the "
@@ -273,61 +180,29 @@ int main(int argc, char** argv) {
   std::printf("average write energy (cell+lines): %.3g fJ\n",
               avgWriteEnergy * 1e15);
 
-  // Solve split + collapsed-block ratio from the hierarchical engine.
-  long hierSolves = 0, blockFactors = 0, blockSkips = 0;
-  long schurRefactors = 0, schurReuses = 0;
-  double collapsedRatio = 0.0;
-  int blocks = 0, border = 0;
-  if (const spice::HierEngine* hier = array.simulator().newton().hier()) {
-    const linalg::SchurStats& stats = hier->stats();
-    hierSolves = stats.solves;
-    blockFactors = stats.blockFactorizations;
-    blockSkips = stats.blockFactorSkips;
-    schurRefactors = stats.schurRefactorizations;
-    schurReuses = stats.schurReuses;
-    const long evals = blockFactors + blockSkips;
-    collapsedRatio = evals > 0 ? static_cast<double>(blockSkips) / evals : 0.0;
-    blocks = hier->blockCount();
-    border = hier->borderSize();
-    std::printf("hierarchical solve: %d blocks, border %d, %.1f%% of block "
-                "evals skipped\n", blocks, border, collapsedRatio * 100.0);
-  }
-
-  std::printf(
-      "PERF {\"bench\":\"fig07_array_bias\",\"mode\":\"run\",\"rows\":%d,"
-      "\"cols\":%d,\"hier\":%s,\"threads\":%d,\"writes\":%d,\"ok\":%s,"
-      "\"wall_s\":%.3f,\"newton_iters\":%llu,\"hier_solves\":%ld,"
-      "\"block_factors\":%ld,\"block_skips\":%ld,\"collapsed_ratio\":%.4f,"
-      "\"schur_refactors\":%ld,\"schur_reuses\":%ld,\"blocks\":%d,"
-      "\"border\":%d,\"disturb_worst\":%.4g,\"disturb_frac\":%.4g,"
-      "\"disturb_margin\":%.3f,\"sneak_worst_nA\":%.4g,"
-      "\"avg_write_energy_fJ\":%.4g}\n",
-      cli.rows, cli.cols, hierarchical ? "true" : "false", cli.threads,
-      outcome.writes, outcome.ok ? "true" : "false", outcome.wallSeconds,
-      static_cast<unsigned long long>(newtonIters), hierSolves, blockFactors,
-      blockSkips, collapsedRatio, schurRefactors, schurReuses, blocks, border,
-      outcome.worstDisturb, disturbFrac, disturbMargin,
-      outcome.worstSneak * 1e9, avgWriteEnergy * 1e15);
-
   bench::Comparison cmp;
   cmp.addText("write + read-back", "correct",
               outcome.ok ? "correct" : "WRONG", "");
+  cmp.addText("half-select disturb", "< 5% of window",
+              disturbOk ? "within" : "EXCEEDED", "");
   cmp.add("write disturb on unaccessed cells", 0.0, outcome.worstDisturb,
           "C/m^2 (<< 0.22)");
   cmp.add("sneak current (eliminated)", 0.0, outcome.worstSneak * 1e9, "nA");
   cmp.print();
 
-  // REPORT line: the write-energy figure of merit through obs::RunReport.
-  telemetry.report().addNumber("rows", cli.rows);
-  telemetry.report().addNumber("cols", cli.cols);
-  telemetry.report().addBool("hierarchical", hierarchical);
-  telemetry.report().addCount("writes",
-                              static_cast<std::uint64_t>(outcome.writes));
-  telemetry.report().addNumber("avg_write_energy_fJ", avgWriteEnergy * 1e15);
-  telemetry.report().addNumber("worst_disturb_frac", disturbFrac);
-  telemetry.report().addNumber("disturb_margin", disturbMargin);
-  telemetry.report().addNumber("collapsed_ratio", collapsedRatio);
-  telemetry.report().addBool("ok", outcome.ok);
+  obs::RunReport& report = telemetry.report();
+  report.addNumber("rows", cli.rows);
+  report.addNumber("cols", cli.cols);
+  report.addCount("writes", static_cast<std::uint64_t>(outcome.writes));
+  report.addNumber("wall_s", outcome.wallSeconds);
+  report.addCount("newton_iters",
+                  static_cast<std::uint64_t>(outcome.newtonIterations));
+  report.addNumber("avg_write_energy_fJ", avgWriteEnergy * 1e15);
+  report.addNumber("disturb_worst", outcome.worstDisturb);
+  report.addNumber("worst_disturb_frac", disturbFrac);
+  report.addNumber("disturb_margin", disturbMargin);
+  report.addNumber("sneak_worst_nA", outcome.worstSneak * 1e9);
+  report.addBool("ok", ok);
   telemetry.finish();
-  return outcome.ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

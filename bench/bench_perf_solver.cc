@@ -109,7 +109,6 @@ static void BM_ArraySolvePath(benchmark::State& state) {
   core::ArrayNetlistConfig cfg;
   cfg.rows = static_cast<int>(state.range(0));
   cfg.cols = cfg.rows;
-  cfg.newton.useHierarchicalSolve = false;
   core::ArrayNetlist arr(cfg);
   const spice::Netlist& netlist = arr.netlist();
   spice::Assembler assembler(netlist.stampPattern(), state.range(1) == 1);

@@ -9,9 +9,8 @@
 #  2. TSan (FEFET_SANITIZE=thread) over the concurrency-sensitive tests
 #     (the sweep engine / thread pool, the LU-reuse solver path, the
 #     stamp-parity and golden-data suite, the shard-lease board and the
-#     parallel per-block Schur factorization) — data races in the sim
-#     layer.  TSan cannot combine with ASan, hence the separate build
-#     directory;
+#     serving and observability layers) — data races in the sim layer.
+#     TSan cannot combine with ASan, hence the separate build directory;
 #  3. kill-and-resume smoke: SIGKILL a journaled bench sweep mid-run, then
 #     --resume it and require the PERF record (results CRC + outcome
 #     tally, wall-clock and from_journal fields excluded) to match an
@@ -33,11 +32,11 @@
 #     storm (--storm-p=0.2) — every acked write must read back exactly
 #     (acked_lost=0), no torn word may be served (torn_served=0), and the
 #     shed rate of backpressure-honoring clients must stay bounded;
-#  8. hierarchical solver gate: bench_fig07_array_bias --parity at 32x32
-#     must match the flat oracle within the DESIGN.md §6.7 tolerances
-#     (1e-3 of the memory window, 0.5% read current), and --speedup at
-#     64x64 must show the BBD/Schur path >= 2x faster than the flat
-#     sparse-LU solve on the same transient;
+#  8. flat array gate: bench_fig07_array_bias at 32x32 must exit 0 —
+#     every Table 1 write and read-back correct and the worst half-select
+#     disturb under 5% of the memory window — and its REPORT line must
+#     carry those figures (the array trajectory itself is pinned by the
+#     golden data of stage 1's StampParity suite);
 #  9. telemetry plane: bench_macro_service under storms with
 #     FEFET_EXPORT_PORT=0 — scrape /metrics and /statusz mid-run, validate
 #     the Prometheus exposition with python3, and require every scraped
@@ -73,13 +72,13 @@ cmake -B "$TSAN_BUILD_DIR" -S . -DFEFET_SANITIZE=thread \
 cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" \
   --target test_sim_sweep test_lu_reuse test_variability test_stamp_parity \
   test_obs test_obs_exporter test_flight_recorder test_shard_lease \
-  test_serve test_serve_concurrent test_schur_solver test_hier_array
+  test_serve test_serve_concurrent
 
 # The ^(...)\. anchors keep the test_obs suites from pulling in unbuilt
 # binaries with similar names (Trace vs PowerTrace, LogJson vs Logistic).
 TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j"$(nproc)" \
-  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|ShardLease|ServeConcurrent|MacroService|ShardStore|StormStream|SchurSolver|HierArray|PrometheusText|HandleRequest|ExporterServer|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson|Admission)\.' "$@"
+  -R 'ThreadPool|SweepEngine|SparseLuFactorizer|LuReuse|Variability|StampParity|ShardLease|ServeConcurrent|MacroService|ShardStore|StormStream|PrometheusText|HandleRequest|ExporterServer|FlightRecorder|^(JsonChecker|Metrics|Trace|RunReport|ObsAlloc|LogPrefix|LogJson|Admission)\.' "$@"
 
 echo "== kill-and-resume smoke: journaled sweep survives SIGKILL =="
 cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target bench_fault_resilience
@@ -268,30 +267,37 @@ fi
 echo "serve chaos gate passed (no acked write lost, no torn word served," \
      "shed rate ${SERVE_SHED_RATE})"
 
-echo "== hierarchical solver gate: BBD/Schur parity + speedup =="
+echo "== flat array gate: Table 1 writes/reads correct, disturb bounded =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" --target bench_fig07_array_bias
-HIER_BENCH="$PERF_BUILD_DIR/bench/bench_fig07_array_bias"
-# Parity: identical write/hold/read schedule hierarchically and flat on a
-# 32x32 electrical array; the bench exits non-zero when the DESIGN.md §6.7
-# tolerances are violated (the PERF line carries the measured deviations).
-if ! "$HIER_BENCH" --rows=32 --cols=32 --writes=2 --parity \
-    > "$SMOKE_DIR/hier-parity.out"; then
-  echo "FAIL: 32x32 hierarchical-vs-flat parity gate" >&2
-  cat "$SMOKE_DIR/hier-parity.out" >&2
+ARRAY_OUT="$SMOKE_DIR/array.out"
+# The bench exits non-zero when a write or read-back is wrong or the worst
+# unaccessed-cell disturb reaches 5% of the memory window.
+if ! "$PERF_BUILD_DIR/bench/bench_fig07_array_bias" --rows=32 --cols=32 \
+    --writes=2 > "$ARRAY_OUT"; then
+  echo "FAIL: 32x32 flat array gate" >&2
+  cat "$ARRAY_OUT" >&2
   exit 1
 fi
-grep '^PERF ' "$SMOKE_DIR/hier-parity.out"
-# Speedup: the same short transient flat vs hierarchical at 64x64.
-"$HIER_BENCH" --rows=64 --cols=64 --speedup --threads=4 \
-  > "$SMOKE_DIR/hier-speedup.out"
-HIER_PERF=$(grep '^PERF ' "$SMOKE_DIR/hier-speedup.out")
-echo "$HIER_PERF"
-HIER_SPEEDUP=$(echo "$HIER_PERF" | sed -E 's/.*"speedup":([0-9.]+).*/\1/')
-if ! awk -v s="$HIER_SPEEDUP" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "FAIL: hierarchical solve speedup $HIER_SPEEDUP is below the 2x floor" >&2
-  exit 1
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$ARRAY_OUT" <<'PYEOF'
+import json
+import sys
+
+report = None
+for line in open(sys.argv[1]):
+    if line.startswith("REPORT "):
+        report = json.loads(line[len("REPORT "):])
+assert report is not None, "no REPORT line"
+assert report["ok"] is True, report
+assert 0.0 <= report["worst_disturb_frac"] < 0.05, report
+print(f"flat array gate passed ({report['rows']}x{report['cols']}, "
+      f"disturb {100 * report['worst_disturb_frac']:.3g}% of the window, "
+      f"{report['newton_iters']} Newton iterations, {report['wall_s']:.3f} s)")
+PYEOF
+else
+  echo "flat array gate passed (exit status 0; python3 not installed," \
+       "REPORT not parsed)"
 fi
-echo "hierarchical solver gate passed (64x64 speedup ${HIER_SPEEDUP}x)"
 
 echo "== telemetry plane: live /metrics scrape + black-box crash gate =="
 cmake --build "$PERF_BUILD_DIR" -j"$(nproc)" \

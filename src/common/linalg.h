@@ -99,14 +99,6 @@ class DenseLuFactorizer {
   /// Solve A x = b with the most recent factorization (x sized n).
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// Multi-RHS solve: b and x hold `nrhs` column-contiguous right-hand
-  /// sides / solutions (column c occupies [c*n, (c+1)*n)).  The blocked
-  /// substitution walks the factor once and applies every elimination step
-  /// to all columns, so each column's arithmetic sequence — and therefore
-  /// its IEEE result — is bit-identical to a scalar solve() of that column.
-  void solveMulti(std::span<const double> b, std::span<double> x,
-                  std::size_t nrhs) const;
-
   bool factored() const { return factored_; }
 
  private:
@@ -217,12 +209,6 @@ class SparseLuFactorizer {
   std::vector<double> solve(std::span<const double> b) const;
   /// Allocation-free overload: x must be sized n and must not alias b.
   void solve(std::span<const double> b, std::span<double> x) const;
-
-  /// Multi-RHS solve over `nrhs` column-contiguous right-hand sides (see
-  /// DenseLuFactorizer::solveMulti).  One traversal of the factor serves
-  /// all columns; per-column results are bit-identical to solve().
-  void solveMulti(std::span<const double> b, std::span<double> x,
-                  std::size_t nrhs) const;
 
   bool factored() const { return factored_; }
 

@@ -102,10 +102,6 @@ ArrayNetlist::ArrayNetlist(const ArrayNetlistConfig& config)
         netlist_.get<spice::VoltageSource>("Vwbl" + std::to_string(c)));
     slSources_.push_back(
         netlist_.get<spice::VoltageSource>("Vsl" + std::to_string(c)));
-    // Shared column lines become the BBD border; freeze() then partitions
-    // the interior into one block per word-line row.
-    netlist_.markBorderNode("wbl" + std::to_string(c));
-    netlist_.markBorderNode("sl" + std::to_string(c));
   }
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
@@ -230,6 +226,7 @@ ArrayNetOpResult ArrayNetlist::runOp(double duration, int accessedRow,
   for (auto* s : rsSources_) result.totalEnergy += s->energyDelivered();
   for (auto* s : wblSources_) result.totalEnergy += s->energyDelivered();
   for (auto* s : slSources_) result.totalEnergy += s->energyDelivered();
+  result.stats = transient.stats;
   result.waveform = std::move(transient.waveform);
   return result;
 }

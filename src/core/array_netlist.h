@@ -4,11 +4,8 @@
 // layer emits a SPICE deck — a `.subckt cell2t` definition plus an R x C
 // grid of instances sharing word/bit/source lines — and parses it back
 // through the `.subckt`-capable deck parser, exercising the exact path an
-// external array deck would take.  The shared column lines (WBL, SL) are
-// then marked as border nodes so Netlist::freeze() builds the bordered-
-// block-diagonal partition (spice/partition.h): one diagonal block per
-// word-line row, ready for the hierarchical Schur solver
-// (NewtonOptions::useHierarchicalSolve).
+// external array deck would take.  Every transient is solved flat: one
+// Newton system over the whole array, factored by the sparse LU.
 //
 // The electrical content matches MemoryArray cell for cell: a 2T cell is
 // an access NMOS (drain = WBL, gate = WS, source = floating gate), the FE
@@ -46,8 +43,7 @@ struct ArrayNetlistConfig {
   double writePulse = 700e-12;
   double readCurrentThreshold = 1e-6;  ///< '1' classification level [A]
   bool negativeUnaccessedSelect = true;
-  /// Solver configuration; set newton.useHierarchicalSolve (or env
-  /// FEFET_HIERARCHICAL_SOLVE=1) for the BBD/Schur engine.
+  /// Solver configuration of the array's Newton solve.
   spice::NewtonOptions newton;
 };
 
@@ -60,6 +56,7 @@ struct ArrayNetOpResult {
   double maxUnaccessedDisturb = 0.0;  ///< max |dP| on any unaccessed cell
   double maxSneakCurrent = 0.0;       ///< peak |I| on unaccessed SLs/RSs [A]
   double totalEnergy = 0.0;           ///< all line drivers [J]
+  spice::TransientStats stats;        ///< the op's transient run
   spice::Waveform waveform;
 };
 

@@ -32,7 +32,7 @@ struct Cell2TConfig {
   /// fault map (all-zero rates = healthy cell).
   FaultSpec faults;
   /// Solver options for the cell's simulator (Newton tolerances, LU
-  /// structure reuse, hierarchical solve).
+  /// structure reuse).
   spice::NewtonOptions newton;
 };
 

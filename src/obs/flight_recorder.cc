@@ -252,8 +252,6 @@ const char* flightEventName(FlightEvent event) {
     case FlightEvent::kNewtonResidual: return "newton_residual";
     case FlightEvent::kGminEscalation: return "gmin_escalation";
     case FlightEvent::kDtCut: return "dt_cut";
-    case FlightEvent::kCollapse: return "collapse";
-    case FlightEvent::kExpand: return "expand";
     case FlightEvent::kLeaseSteal: return "lease_steal";
     case FlightEvent::kBrownoutEnter: return "brownout_enter";
     case FlightEvent::kBrownoutExit: return "brownout_exit";

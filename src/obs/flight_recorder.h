@@ -3,12 +3,12 @@
 // async-signal-safe crash dumper.
 //
 // Long-lived processes (fefet-sweepd supervisors, MacroService shard
-// workers, hour-long hierarchical solves) can die in ways the end-of-run
+// workers, hour-long array transients) can die in ways the end-of-run
 // REPORT line never sees: a SIGSEGV in a device model, an abort() from a
 // sanitizer, a kill-storm casualty.  The flight recorder keeps the last N
 // structured events per thread — solve start/converged/diverged, gmin
-// escalation, dt cut, collapse/expand transitions, lease steals, brownout
-// enter/exit, storm injections, per-iteration Newton residuals — in
+// escalation, dt cut, lease steals, brownout enter/exit, storm
+// injections, per-iteration Newton residuals — in
 // preallocated rings, and on a fatal signal writes them (plus the most
 // recent preformatted metrics snapshot) to the FEFET_BLACKBOX file using
 // only async-signal-safe primitives: a pre-opened fd, preallocated
@@ -62,8 +62,8 @@ enum class FlightEvent : std::uint16_t {
   kNewtonResidual = 6,    ///< a = residual norm, b = iteration index
   kGminEscalation = 7,    ///< a = new gmin, b = escalation level
   kDtCut = 8,             ///< a = new dt [s], b = cumulative cuts this run
-  kCollapse = 9,          ///< a = collapsed ratio, b = blocks collapsed
-  kExpand = 10,           ///< a = collapsed ratio, b = blocks expanded
+  // 9 and 10 stay unassigned: older dumps used them for block collapse
+  // and expand events, which now decode as "?".
   kLeaseSteal = 11,       ///< a = 0, b = shard index
   kBrownoutEnter = 12,    ///< a = utilization, b = 0
   kBrownoutExit = 13,     ///< a = utilization, b = 0

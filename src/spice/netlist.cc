@@ -1,6 +1,5 @@
 #include "spice/netlist.h"
 
-#include "spice/partition.h"
 #include "spice/stamp_pattern.h"
 
 namespace fefet::spice {
@@ -63,29 +62,8 @@ int Netlist::freeze() {
       pattern_ = std::make_unique<StampPattern>(devices_, unknownCount(),
                                                 nodeCount());
     }
-    if (!borderNodeNames_.empty() && pattern_ != nullptr) {
-      std::vector<int> seeds;
-      seeds.reserve(borderNodeNames_.size());
-      for (const auto& name : borderNodeNames_) {
-        const NodeId id = nodeIndex_.at(name);
-        seeds.push_back(static_cast<int>(id) - 1);  // node id 1 -> row 0
-      }
-      partition_ = std::make_unique<BbdPartition>(*pattern_, std::move(seeds));
-    }
   }
   return unknownCount();
-}
-
-void Netlist::markBorderNode(const std::string& name) {
-  FEFET_REQUIRE(!frozen_, "netlist is frozen; cannot mark border node");
-  FEFET_REQUIRE(nodeIndex_.count(name) > 0,
-                "markBorderNode: no such node: " + name);
-  borderNodeNames_.push_back(name);
-}
-
-const BbdPartition* Netlist::partition() const {
-  FEFET_REQUIRE(frozen_, "partition() requires a frozen netlist");
-  return partition_.get();
 }
 
 const StampPattern& Netlist::stampPattern() const {

@@ -16,7 +16,6 @@ namespace fefet::spice {
 /// devices are owned by the netlist.  After freeze() the unknown layout
 /// (node rows followed by auxiliary rows) is fixed.
 class StampPattern;
-class BbdPartition;
 
 class Netlist {
  public:
@@ -84,16 +83,9 @@ class Netlist {
   /// pipeline's pattern (see stamp_pattern.h).  Requires frozen().
   const StampPattern& stampPattern() const;
 
-  /// Mark a node as a border unknown of the bordered-block-diagonal
-  /// partition built at freeze() (see partition.h).  For a memory array
-  /// the shared bit/source lines are marked; the hierarchical solver then
-  /// treats each word-line row as an independent diagonal block.  Must be
-  /// called before freeze(); the node must already exist.
-  void markBorderNode(const std::string& name);
-
-  /// The BBD partition built at freeze(), or nullptr when no border nodes
-  /// were marked.  Requires frozen().
-  const BbdPartition* partition() const;
+  /// Ignored: kept only so perfbench/layers.cc, which calls it, still
+  /// builds.  Nothing else may call it.
+  void markBorderNode(const std::string& /*name*/) {}
 
  private:
   class AuxAllocator;
@@ -103,9 +95,7 @@ class Netlist {
   std::vector<std::unique_ptr<Device>> devices_;
   std::map<std::string, std::size_t> deviceIndex_;
   std::vector<std::string> auxLabels_;
-  std::vector<std::string> borderNodeNames_;
   std::unique_ptr<StampPattern> pattern_;
-  std::unique_ptr<BbdPartition> partition_;
   bool frozen_ = false;
 };
 

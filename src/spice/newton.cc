@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/clock.h"
 #include "common/error.h"
@@ -12,8 +10,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "spice/hier_engine.h"
-#include "spice/partition.h"
 
 namespace fefet::spice {
 
@@ -89,35 +85,11 @@ const StampPattern& frozenPattern(Netlist& netlist) {
 
 }  // namespace
 
-bool defaultUseHierarchicalSolve() {
-  static const bool value = [] {
-    const char* env = std::getenv("FEFET_HIERARCHICAL_SOLVE");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-  }();
-  return value;
-}
-
 NewtonSolver::NewtonSolver(Netlist& netlist, const NewtonOptions& options)
     : netlist_(netlist),
       options_(options),
       assembler_(frozenPattern(netlist),
-                 netlist.freeze() > kDenseToSparseCrossover) {
-  if (options_.useHierarchicalSolve) {
-    const BbdPartition* partition = netlist_.partition();
-    if (partition != nullptr && partition->useful()) {
-      linalg::SchurOptions schurOptions;
-      schurOptions.enableCollapse = options_.hierCollapse;
-      schurOptions.collapseAbsTol = options_.hierCollapseAbsTol;
-      schurOptions.collapseRelTol = options_.hierCollapseRelTol;
-      schurOptions.collapseQuietEvals = options_.hierCollapseQuietEvals;
-      hier_ = std::make_unique<HierEngine>(netlist_.stampPattern(),
-                                           *partition, schurOptions,
-                                           options_.hierThreads);
-    }
-  }
-}
-
-NewtonSolver::~NewtonSolver() = default;
+                 netlist.freeze() > kDenseToSparseCrossover) {}
 
 NewtonStats NewtonSolver::solve(std::vector<double>& x, bool dc, double time,
                                 double dt, IntegrationMethod method) {
@@ -262,11 +234,7 @@ NewtonStats NewtonSolver::solveWithGmin(std::vector<double>& x, bool dc,
     try {
       const obs::Span span("newton.lu_solve");
       const std::uint64_t t0 = timed ? monotonicNanos() : 0;
-      if (hier_) {
-        hier_->solveForUpdate(assembler_.csr(), assembler_.residual(), dx);
-      } else {
-        assembler_.solveForUpdate(dx, options_.reuseLuStructure);
-      }
+      assembler_.solveForUpdate(dx, options_.reuseLuStructure);
       if (timed) luSolveNs += monotonicNanos() - t0;
     } catch (const NumericalError&) {
       // Singular Jacobian mid-iteration: report non-convergence so the

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,13 +19,6 @@ namespace fefet::spice {
 /// dense path is kept only for systems no larger than one 2T cell (11
 /// unknowns): cell studies and their golden data keep dense numerics.
 inline constexpr int kDenseToSparseCrossover = 11;
-
-/// Session default for NewtonOptions::useHierarchicalSolve: false unless
-/// the environment sets FEFET_HIERARCHICAL_SOLVE=1 (opt-in — the flat
-/// solve remains the oracle, see partition.h / hier_engine.h).
-bool defaultUseHierarchicalSolve();
-
-class HierEngine;
 
 struct NewtonOptions {
   int maxIterations = 80;
@@ -46,22 +38,10 @@ struct NewtonOptions {
   /// Ignored: kept only so perfbench/layers.cc, which passes it to
   /// Assembler::assemble, still builds.  Nothing else may set or read it.
   bool useBatchedKernels = true;
-  /// Solve the Newton update through the bordered-block-diagonal Schur
-  /// engine (hier_engine.h) instead of the flat LU.  Effective only for a
-  /// netlist whose freeze() built a useful BBD partition (border nodes
-  /// marked, >= 2 blocks); silently falls back to the flat solve
-  /// otherwise.  Collapsing makes updates inexact-Newton steps with exact
-  /// residuals — converged solutions agree with the flat engine within
-  /// the Newton tolerances (see DESIGN.md §6.7).
-  bool useHierarchicalSolve = defaultUseHierarchicalSolve();
-  /// Macromodel collapsing of quiet blocks (hold-bias fast path); the
-  /// tolerances mirror linalg::SchurOptions.
-  bool hierCollapse = true;
-  double hierCollapseAbsTol = 1e-12;
-  double hierCollapseRelTol = 1e-5;
-  int hierCollapseQuietEvals = 3;
-  /// Worker threads for per-block factorization (<= 0: FEFET_THREADS /
-  /// hardware default).
+  /// Ignored: kept only so perfbench/selftest.cc, which sets them, still
+  /// builds.  The flat sparse/dense LU is the only solve path; nothing
+  /// else may set or read these two fields.
+  bool useHierarchicalSolve = false;
   int hierThreads = 0;
 };
 
@@ -81,7 +61,6 @@ struct NewtonStats {
 class NewtonSolver {
  public:
   NewtonSolver(Netlist& netlist, const NewtonOptions& options);
-  ~NewtonSolver();
 
   /// One full Newton solve with the supplied stamp-context template (its
   /// view/stamper fields are filled per iteration).  Returns stats;
@@ -103,10 +82,6 @@ class NewtonSolver {
   /// the continuation fails.
   NewtonStats solveDcWithContinuation(std::vector<double>& x);
 
-  /// The hierarchical solve engine, or nullptr when the flat LU is in use
-  /// (option off or no useful partition).
-  const HierEngine* hier() const { return hier_.get(); }
-
   /// Sparse-LU diagnostics of the flat solve (zeros on the dense path).
   const linalg::SparseLuFactorizer& sparseFactorizer() const {
     return assembler_.solver().sparseFactorizer();
@@ -125,7 +100,6 @@ class NewtonSolver {
   Netlist& netlist_;
   NewtonOptions options_;
   Assembler assembler_;                  ///< compiled stamp pipeline
-  std::unique_ptr<HierEngine> hier_;     ///< BBD/Schur solve (optional)
   // Reused across iterations/escalation levels: the Newton update and the
   // trial vector of escalation/continuation attempts (no per-iteration
   // heap churn).

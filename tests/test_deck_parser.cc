@@ -5,7 +5,6 @@
 #include "common/stats.h"
 #include "core/array_netlist.h"
 #include "spice/deck_parser.h"
-#include "spice/partition.h"
 #include "spice/fecap_device.h"
 #include "spice/simulator.h"
 #include "spice/sources.h"
@@ -355,23 +354,9 @@ TEST(DeckParser, GeneratedArrayDeckRoundTrip) {
   EXPECT_EQ(stats.deviceCount, 3 * 256 + 64 + 64);
   // Nodes: 256 cells x (fg + int) + 16 x (ws + rs) + 16 x (wbl + sl).
   EXPECT_EQ(n.nodeCount(), 2 * 256 + 2 * 16 + 2 * 16);
-  // Mark the shared column lines and freeze: the partition must come out
-  // one block per word-line row with the column lines on the border.
-  for (int c = 0; c < 16; ++c) {
-    n.markBorderNode("wbl" + std::to_string(c));
-    n.markBorderNode("sl" + std::to_string(c));
-  }
   const int unknowns = n.freeze();
   // Unknowns: nodes + 64 voltage-source aux + 256 FE polarization aux.
   EXPECT_EQ(unknowns, n.nodeCount() + 64 + 256);
-  const BbdPartition* partition = n.partition();
-  ASSERT_NE(partition, nullptr);
-  EXPECT_EQ(partition->blockCount(), 16);
-  // Border: 16 x (wbl + sl) nodes plus their 32 promoted source aux rows.
-  EXPECT_EQ(partition->borderSize(), 64);
-  // Each row block: 16 cells x (fg + int + P aux) + ws + rs + their aux.
-  EXPECT_EQ(partition->maxBlockRows(), 3 * 16 + 4);
-  EXPECT_TRUE(partition->useful());
 }
 
 TEST(DeckParser, MutationRobustness) {

@@ -289,7 +289,6 @@ TEST(SparseLuFactorizer, FillIsBoundedOnArrayJacobian) {
   core::ArrayNetlistConfig config;
   config.rows = 16;
   config.cols = 16;
-  config.newton.useHierarchicalSolve = false;
   core::ArrayNetlist array(config);
   ASSERT_GT(array.netlist().unknownCount(), 800);
   const auto [nnzA, nnzLu] = jacobianFill(array.netlist());

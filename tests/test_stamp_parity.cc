@@ -11,8 +11,9 @@
 //      row-scale value compared with exact (==) equality.
 //   2. End-to-end golden data (tests/golden/*.golden, tolerances in each
 //      file's header): a 200-stage RC ladder transient (sparse path, LU
-//      structure reuse), a full 2T-cell write -> hold -> read, and the
-//      diode-string DC operating point of the gmin-continuation solve.
+//      structure reuse), a full 2T-cell write -> hold -> read, the
+//      diode-string DC operating point of the gmin-continuation solve,
+//      and a 16x16 array's Table 1 write/hold/read schedule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/array_netlist.h"
 #include "core/cell2t.h"
 #include "spice/assembler.h"
 #include "spice/extras.h"
@@ -379,6 +381,78 @@ TEST(StampParity, GminContinuationMatchesGolden) {
   for (const auto& v : voltages) {
     ASSERT_EQ(v.size(), 2u);
     golden.expectReal(sim.nodeVoltage(v[0]), v[1], "v(" + v[0] + ")");
+  }
+}
+
+// A 16x16 deck-generated array under the Table 1 bias scheme: writes of
+// both bits, a hold, reads of a '1' and a '0' — the flat sparse-LU array
+// solve end to end, down to every cell's final polarization.
+TEST(StampParity, Array16Table1MatchesGolden) {
+  core::ArrayNetlistConfig config;
+  config.rows = 16;
+  config.cols = 16;
+  core::ArrayNetlist array(config);
+  std::vector<std::vector<bool>> pattern(16, std::vector<bool>(16, false));
+  pattern[9][12] = true;
+  pattern[4][4] = true;
+  array.setPattern(pattern);
+
+  struct Op {
+    const char* kind;
+    int row, col;
+    core::ArrayNetOpResult result;
+    int bit;
+  };
+  std::vector<Op> ops;
+  const auto write = [&](int r, int c, bool one) {
+    auto result = array.writeBit(r, c, one);
+    ops.push_back({"write", r, c, std::move(result), array.bitAt(r, c)});
+  };
+  const auto read = [&](int r, int c) {
+    auto result = array.readBit(r, c);
+    const int bit = result.bitRead;
+    ops.push_back({"read", r, c, std::move(result), bit});
+  };
+  write(2, 5, true);
+  write(9, 12, false);
+  ops.push_back({"hold", -1, -1, array.hold(1e-9), 0});
+  read(2, 5);
+  read(9, 12);
+
+  const Golden golden("array16_table1.golden");
+  const auto records = golden.all("op");
+  ASSERT_EQ(records.size(), ops.size());
+  long steps = 0, newtonIterations = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    const auto& g = records[i];
+    ASSERT_EQ(g.size(), 7u);
+    SCOPED_TRACE(std::string("op ") + std::to_string(i) + " " + op.kind);
+    EXPECT_EQ(g[0], op.kind);
+    EXPECT_EQ(golden.integer(g[1]), op.row);
+    EXPECT_EQ(golden.integer(g[2]), op.col);
+    EXPECT_EQ(golden.integer(g[3]), op.result.ok ? 1 : 0);
+    EXPECT_EQ(golden.integer(g[4]), op.bit);
+    golden.expectReal(op.result.readCurrent, g[5], "read current");
+    golden.expectReal(op.result.maxUnaccessedDisturb, g[6],
+                      "max unaccessed disturb");
+    steps += op.result.stats.steps;
+    newtonIterations += op.result.stats.newtonIterations;
+  }
+  EXPECT_EQ(steps, golden.integerOf("steps"));
+  EXPECT_EQ(newtonIterations, golden.integerOf("newton_iterations"));
+
+  const auto cells = golden.all("p");
+  ASSERT_EQ(cells.size(), 256u);
+  const auto p = array.polarizations();
+  for (const auto& cell : cells) {
+    ASSERT_EQ(cell.size(), 3u);
+    const auto r = static_cast<std::size_t>(golden.integer(cell[0]));
+    const auto c = static_cast<std::size_t>(golden.integer(cell[1]));
+    ASSERT_LT(r, p.size());
+    ASSERT_LT(c, p[r].size());
+    golden.expectReal(p[r][c], cell[2],
+                      "P(" + cell[0] + "," + cell[1] + ")");
   }
 }
 
